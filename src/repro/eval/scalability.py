@@ -31,9 +31,8 @@ from repro.utils.rng import RngLike, as_generator
 class ScalabilityConfig:
     """Declarative form of the FM-alone scaling study (``fm_scaling``).
 
-    The registered ``scalability`` experiment runs exactly this; the
-    legacy CLI flags (``--horizons``, ``--node-limit``, ``--deadline``)
-    are conveniences that set the matching fields.  ``deadline`` is the
+    The registered ``scalability`` experiment runs exactly this
+    (``repro run scalability --set horizons=[8,16]``).  ``deadline`` is the
     per-solve wall-clock budget in seconds (``None`` = unbounded; TOML
     files express "unbounded" by omitting the key).
     """

@@ -387,9 +387,8 @@ def _run_table1(config, datasets, pretrained, journal) -> Table1Result:
     else:
         full_values = cem_cell["values"]
         # Timings are deliberately not journaled (they would make two
-        # runs of one config byte-different); pre-unification journals
-        # may still carry the key, so keep reading it.
-        cem_seconds = float(cem_cell.get("cem_seconds_per_window", 0.0))
+        # runs of one config byte-different), so a resumed cell has none.
+        cem_seconds = 0.0
     for key, value in full_values.items():
         values[key]["Transformer+KAL+CEM"] = value
 

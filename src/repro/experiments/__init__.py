@@ -1,25 +1,16 @@
 """repro.experiments — first-class, registered experiments.
 
 Importing this package registers the built-in experiments (``table1``,
-``scalability``, ``replication``, ``simulate``, ``serve``); each is a
-named triple
-of (typed config dataclass, run function, artifact directory) the CLI
-resolves for ``repro run <name> --config cfg.toml --set key=value``.
+``scalability``, ``replication``, ``simulate``, ``serve``, ...); each is
+a named triple of (typed config dataclass, run function, artifact
+directory) the CLI resolves for
+``repro run <name> --config cfg.toml --set key=value``.
 
 See :mod:`repro.experiments.registry` for the registration API and
 :mod:`repro.experiments.builtin` for the built-in entries.
 """
 
-from repro.experiments import builtin as _builtin  # noqa: F401 (registers)
-from repro.experiments.builtin import (
-    DEFAULT_TABLE1_JOURNAL,
-    SimulateConfig,
-    run_replication_experiment,
-    run_scalability_experiment,
-    run_serve_experiment,
-    run_simulate_experiment,
-    run_table1_experiment,
-)
+from repro.experiments.builtin import SimulateConfig  # importing registers
 from repro.experiments.registry import (
     CliOption,
     Experiment,
@@ -32,7 +23,6 @@ from repro.experiments.registry import (
 
 __all__ = [
     "CliOption",
-    "DEFAULT_TABLE1_JOURNAL",
     "Experiment",
     "SimulateConfig",
     "experiment_names",
@@ -40,9 +30,4 @@ __all__ = [
     "iter_experiments",
     "register",
     "run_experiment",
-    "run_replication_experiment",
-    "run_scalability_experiment",
-    "run_serve_experiment",
-    "run_simulate_experiment",
-    "run_table1_experiment",
 ]

@@ -1,10 +1,8 @@
 """The built-in experiments: table1, scalability, replication, simulate, serve, robustness.
 
 Each entry pairs a typed config dataclass with a run function whose
-stdout is the experiment's report; the legacy CLI subcommands
-(``repro table1``, ``repro simulate``, ``repro scalability``) are thin
-aliases over these exact functions, so ``repro run table1`` and
-``repro table1`` are behaviour-identical down to the journal bytes.
+stdout is the experiment's report; ``repro run <name>`` resolves the
+config and calls the run function with the entry's CLI options.
 
 Heavy imports (training, solvers) happen inside the run functions so
 that importing the registry — which the CLI does to build its parser —
@@ -51,6 +49,12 @@ class SimulateConfig:
     scenario: ScenarioConfig = field(default_factory=quick_scenario)
     seed: int = 0
     engine: str = "auto"
+
+    def __post_init__(self) -> None:
+        if self.engine not in ("auto", "array", "reference"):
+            raise ValueError(
+                f"engine must be 'auto', 'array', or 'reference', got {self.engine!r}"
+            )
 
 
 # ----------------------------------------------------------------------
@@ -163,45 +167,17 @@ def run_replication_experiment(config: ReplicationConfig) -> int:
 
 
 # ----------------------------------------------------------------------
-# Default configs (match the legacy CLI defaults: quick profile, seed 0)
+# Default configs: the quick scenario at seed 0.  Table 1 (whose
+# dataclass defaults are the paper scenario at 30 epochs) and
+# replication override theirs; every other config class is its own
+# default.
 # ----------------------------------------------------------------------
 def _default_table1() -> Table1Config:
     return Table1Config(scenario=quick_scenario(), epochs=10, seed=0)
 
 
-def _default_scalability() -> ScalabilityConfig:
-    return ScalabilityConfig()
-
-
 def _default_replication() -> ReplicationConfig:
-    return ReplicationConfig(
-        table1=Table1Config(scenario=quick_scenario(), epochs=10, seed=0),
-        seeds=(0, 1, 2),
-    )
-
-
-def _default_simulate() -> SimulateConfig:
-    return SimulateConfig(scenario=quick_scenario(), seed=0, engine="auto")
-
-
-def _default_serve() -> ServeConfig:
-    return ServeConfig()
-
-
-def _default_robustness() -> RobustnessConfig:
-    return RobustnessConfig()
-
-
-def _default_leaf_spine() -> LeafSpineConfig:
-    return LeafSpineConfig()
-
-
-def _default_red_websearch() -> RedWebsearchConfig:
-    return RedWebsearchConfig()
-
-
-def _default_flow_incast() -> FlowIncastConfig:
-    return FlowIncastConfig()
+    return ReplicationConfig(table1=_default_table1(), seeds=(0, 1, 2))
 
 
 _SELFCHECK = CliOption(
@@ -250,7 +226,7 @@ register(
     Experiment(
         name="serve",
         config_cls=ServeConfig,
-        default_config=_default_serve,
+        default_config=ServeConfig,
         run=run_serve_experiment,
         artifact_dir="artifacts/serve",
         summary="stream a replayed fleet through the imputation service",
@@ -273,7 +249,7 @@ register(
     Experiment(
         name="robustness",
         config_cls=RobustnessConfig,
-        default_config=_default_robustness,
+        default_config=RobustnessConfig,
         run=run_robustness_experiment,
         artifact_dir="artifacts/robustness",
         summary="distribution-shift suite: per-method degradation curves "
@@ -306,7 +282,7 @@ register(
     Experiment(
         name="scalability",
         config_cls=ScalabilityConfig,
-        default_config=_default_scalability,
+        default_config=ScalabilityConfig,
         run=run_scalability_experiment,
         artifact_dir="artifacts/scalability",
         summary="FM-alone solve effort vs horizon (the §2.3 blow-up)",
@@ -328,7 +304,7 @@ register(
     Experiment(
         name="leaf_spine_small",
         config_cls=LeafSpineConfig,
-        default_config=_default_leaf_spine,
+        default_config=LeafSpineConfig,
         run=run_leaf_spine_experiment,
         artifact_dir="artifacts/leaf_spine",
         summary="websearch traffic across a small leaf-spine fabric, "
@@ -341,7 +317,7 @@ register(
     Experiment(
         name="red_websearch",
         config_cls=RedWebsearchConfig,
-        default_config=_default_red_websearch,
+        default_config=RedWebsearchConfig,
         run=run_red_websearch_experiment,
         artifact_dir="artifacts/red_websearch",
         summary="the paper workload under RED early-drop admission "
@@ -354,7 +330,7 @@ register(
     Experiment(
         name="flow_incast",
         config_cls=FlowIncastConfig,
-        default_config=_default_flow_incast,
+        default_config=FlowIncastConfig,
         run=run_flow_incast_experiment,
         artifact_dir="artifacts/flow_incast",
         summary="flow-level background traffic (sampled sizes and RTTs, "
@@ -367,7 +343,7 @@ register(
     Experiment(
         name="simulate",
         config_cls=SimulateConfig,
-        default_config=_default_simulate,
+        default_config=SimulateConfig,
         run=run_simulate_experiment,
         artifact_dir="artifacts/traces",
         summary="simulate a switch trace and save it as .npz",

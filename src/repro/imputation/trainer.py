@@ -581,9 +581,12 @@ class Trainer:
                 f"examples; this trainer has {len(self.train_set)}"
             )
         stored_digest = meta.get("config_digest")
-        if stored_digest is not None and stored_digest != self.config_fingerprint():
-            # Absent in pre-unification checkpoints: those load unchecked,
-            # exactly as they did when written.
+        if stored_digest is None:
+            raise CheckpointError(
+                f"checkpoint {path} carries no trainer config digest; "
+                "cannot confirm it was written under this configuration"
+            )
+        if stored_digest != self.config_fingerprint():
             raise CheckpointError(
                 f"checkpoint {path} was written under a different trainer "
                 "configuration (loss/KAL/optimizer knobs changed); resuming "

@@ -16,8 +16,7 @@ scores — it degrades the calibration windows at the robustness grid's
 worst telemetry corruption (:data:`SHIFT_CAL_LANZ`/:data:`SHIFT_CAL_SNMP`,
 via :mod:`repro.robustness.degrade` under a fixed seed) and places the
 threshold midway between the in-distribution quantile and the median
-shifted score.  The legacy fixed-quantile behaviour stays available as
-``threshold="quantile"``, and an explicit float pins the bar directly.
+shifted score.  An explicit float pins the bar directly.
 The resulting frozen :class:`OODSentinel` is handed to
 :class:`~repro.serve.service.StreamService`, which observes every
 window's score into the ``serve.ood.score`` histogram and flags (or
@@ -41,10 +40,11 @@ from repro.telemetry.dataset import ImputationSample, TelemetryDataset
 class OODSentinel:
     """A calibrated shift detector over pre-enforcement constraint residuals.
 
-    ``threshold`` is the calibrated ``quantile`` of in-distribution
-    scores; :meth:`flags` is the deployment predicate.  ``qlen_scale``
-    normalises the CEM correction mass into the same dimensionless range
-    as the residual terms (it is the training scaler's queue scale).
+    ``threshold`` is the calibrated exceedance bar (see
+    :func:`calibrate_sentinel`); :meth:`flags` is the deployment
+    predicate.  ``qlen_scale`` normalises the CEM correction mass into
+    the same dimensionless range as the residual terms (it is the
+    training scaler's queue scale).
     """
 
     threshold: float
@@ -52,10 +52,9 @@ class OODSentinel:
     qlen_scale: float
     calibration_size: int
     # How the threshold was derived: "shift" (measured separation from
-    # degraded windows, the default), "quantile" (legacy fixed quantile),
-    # or "fixed" (caller-supplied).  Trailing with a default so existing
-    # positional constructions keep working.
-    calibration: str = "quantile"
+    # degraded windows, the calibration default) or "fixed"
+    # (caller-supplied, the default for a directly constructed sentinel).
+    calibration: str = "fixed"
 
     def score(
         self,
@@ -106,7 +105,7 @@ def calibrate_sentinel(
     quantile: float = 0.99,
     use_cem: bool = True,
     batch_size: int = 16,
-    threshold: float | str | None = None,
+    threshold: float | None = None,
 ) -> OODSentinel:
     """Calibrate a sentinel on in-distribution windows.
 
@@ -122,9 +121,7 @@ def calibrate_sentinel(
       midway between the in-distribution ``quantile`` score and the
       median shifted score.  If the shift does not separate (median
       shifted score at or below the quantile), the quantile is kept —
-      never a *lower* bar than the legacy one.
-    * ``"quantile"`` — the legacy behaviour: the bar is exactly the
-      ``quantile`` of in-distribution scores.
+      never a bar below the in-distribution ``quantile`` score.
     * a float — pin the bar directly, skipping the shifted re-score.
 
     Deterministic in every mode: the model, the dataset, the CEM
@@ -134,10 +131,8 @@ def calibrate_sentinel(
 
     if not 0.0 < quantile <= 1.0:
         raise ValueError(f"quantile must lie in (0, 1], got {quantile}")
-    if isinstance(threshold, str) and threshold != "quantile":
-        raise ValueError(
-            f'threshold must be None, "quantile", or a float, got {threshold!r}'
-        )
+    if isinstance(threshold, str):
+        raise ValueError(f"threshold must be None or a float, got {threshold!r}")
     if len(dataset) == 0:
         raise ValueError("cannot calibrate a sentinel on an empty dataset")
     enforcer = (
@@ -184,9 +179,6 @@ def calibrate_sentinel(
         shifted = float(np.median(np.asarray(scored(shifted_samples))))
         value = (in_dist + shifted) / 2.0 if shifted > in_dist else in_dist
         calibration = "shift"
-    elif threshold == "quantile":
-        value = in_dist
-        calibration = "quantile"
     else:
         value = float(threshold)
         calibration = "fixed"

@@ -24,8 +24,7 @@ from repro.obs.trace import read_events
 
 SCHEMA = Path(__file__).resolve().parents[1] / "corpus" / "obs_trace.schema.json"
 
-# The tiny Table-1 configuration from tests/test_cli_run.py (tests/ is
-# not a package, so the list is restated rather than imported).
+# A tiny Table-1 configuration: one micro run trains in seconds.
 TINY_TABLE1_OVERRIDES = [
     "d_model=16",
     "num_heads=2",
@@ -74,7 +73,12 @@ def artifacts(tmp_path_factory):
     )
     assert (
         main(
-            ["scalability", "--horizons", "4", "--node-limit", "200"] + obs_flags
+            [
+                "run", "scalability",
+                "--set", "horizons=[4]",
+                "--set", "node_limit=200",
+            ]
+            + obs_flags
         )
         == 0
     )
@@ -83,7 +87,7 @@ def artifacts(tmp_path_factory):
         assert (
             main(
                 [
-                    "simulate",
+                    "run", "simulate",
                     "--set", "scenario.duration_bins=300",
                     "--out", str(root / "trace.npz"),
                     "--cache", str(cache_dir),

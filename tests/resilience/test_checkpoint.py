@@ -150,6 +150,17 @@ class TestTrainerResume:
         with pytest.raises(CheckpointError, match="examples"):
             fresh.load_checkpoint(ck)
 
+    def test_checkpoint_without_config_digest_rejected(self, small_dataset, tmp_path):
+        ck = tmp_path / "trainer.npz"
+        trainer = _make_trainer(small_dataset, epochs=1)
+        trainer.train(checkpoint_path=ck)
+        arrays, meta = load_checkpoint(ck)
+        del meta["config_digest"]
+        save_checkpoint(ck, arrays, meta)  # re-checksummed: only the key is gone
+        fresh = _make_trainer(small_dataset, epochs=1)
+        with pytest.raises(CheckpointError, match="config digest"):
+            fresh.load_checkpoint(ck)
+
     def test_invalid_checkpoint_every_rejected(self, small_dataset, tmp_path):
         trainer = _make_trainer(small_dataset, epochs=1)
         with pytest.raises(ValueError, match="checkpoint_every"):

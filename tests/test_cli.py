@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import numpy as np
 import pytest
 
@@ -11,50 +13,72 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_top_level_subcommands_are_the_one_front_door(self):
+        parser = build_parser()
+        (sub,) = [
+            action
+            for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert set(sub.choices) == {
+            "run", "experiments", "train", "impute", "verify", "obs",
+        }
+
     def test_simulate_defaults(self):
-        args = build_parser().parse_args(["simulate"])
-        assert args.profile == "quick"
-        assert args.seed == 0
+        args = build_parser().parse_args(["run", "simulate"])
+        assert args.config is None and args.overrides == []
+        assert str(args.out) == "trace.npz"
+        assert args.cache is None and args.selfcheck is False
 
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
     def test_selfcheck_off_by_default(self):
-        for command in (["simulate"], ["impute", "--model", "m.npz"], ["table1"]):
+        for command in (
+            ["run", "simulate"],
+            ["impute", "--model", "m.npz"],
+            ["run", "table1"],
+        ):
             assert build_parser().parse_args(command).selfcheck is False
 
     def test_resilience_flags_off_by_default(self):
         train = build_parser().parse_args(["train"])
         assert train.checkpoint is None and train.resume is False
-        table1 = build_parser().parse_args(["table1"])
+        table1 = build_parser().parse_args(["run", "table1"])
         assert table1.journal is None and table1.resume is False
-        assert build_parser().parse_args(["scalability"]).deadline is None
 
     def test_resilience_flags_parse(self):
         train = build_parser().parse_args(
             ["train", "--checkpoint", "ck.npz", "--resume"]
         )
         assert str(train.checkpoint) == "ck.npz" and train.resume
-        table1 = build_parser().parse_args(["table1", "--journal", "j.jsonl"])
+        table1 = build_parser().parse_args(["run", "table1", "--journal", "j.jsonl"])
         assert str(table1.journal) == "j.jsonl"
-        args = build_parser().parse_args(["scalability", "--deadline", "2.5"])
-        assert args.deadline == 2.5
 
-    def test_bad_engine_rejected_with_usable_message(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["simulate", "--engine", "warp"])
-        assert excinfo.value.code == 2
+    def test_bad_engine_rejected_with_usable_message(self, tmp_path, capsys):
+        code = main(
+            ["run", "simulate", "--set", "engine=warp", "--out", str(tmp_path / "t.npz")]
+        )
+        assert code == 2
         err = capsys.readouterr().err
-        assert "invalid choice" in err and "'warp'" in err
+        assert "invalid configuration" in err and "'warp'" in err
         # The message names the valid engines, so the fix is obvious.
         assert "array" in err and "reference" in err
+        assert not (tmp_path / "t.npz").exists()
 
 
 class TestSimulate:
     def test_writes_trace(self, tmp_path, capsys):
         out = tmp_path / "trace.npz"
-        code = main(["simulate", "--duration", "300", "--out", str(out), "--seed", "1"])
+        code = main(
+            [
+                "run", "simulate",
+                "--set", "scenario.duration_bins=300",
+                "--set", "seed=1",
+                "--out", str(out),
+            ]
+        )
         assert code == 0
         with np.load(out) as archive:
             assert archive["qlen"].shape[1] == 300
@@ -64,7 +88,12 @@ class TestSimulate:
     def test_selfcheck_passes_on_healthy_run(self, tmp_path, capsys):
         out = tmp_path / "trace.npz"
         code = main(
-            ["simulate", "--duration", "200", "--out", str(out), "--selfcheck"]
+            [
+                "run", "simulate",
+                "--set", "scenario.duration_bins=200",
+                "--out", str(out),
+                "--selfcheck",
+            ]
         )
         assert code == 0
         assert out.exists()
@@ -74,7 +103,8 @@ class TestSimulate:
         not_a_dir.write_text("something else lives here")
         code = main(
             [
-                "simulate", "--duration", "50",
+                "run", "simulate",
+                "--set", "scenario.duration_bins=50",
                 "--out", str(tmp_path / "t.npz"),
                 "--cache", str(not_a_dir),
             ]
@@ -180,7 +210,13 @@ class TestVerify:
 
 class TestScalability:
     def test_prints_table(self, capsys):
-        code = main(["scalability", "--horizons", "4", "--node-limit", "5000"])
+        code = main(
+            [
+                "run", "scalability",
+                "--set", "horizons=[4]",
+                "--set", "node_limit=5000",
+            ]
+        )
         assert code == 0
         out = capsys.readouterr().out
         assert "horizon" in out
@@ -188,44 +224,75 @@ class TestScalability:
 
     def test_tiny_deadline_marks_timeout(self, capsys):
         code = main(
-            ["scalability", "--horizons", "4", "--deadline", "0.000001"]
+            [
+                "run", "scalability",
+                "--set", "horizons=[4]",
+                "--set", "deadline=0.000001",
+            ]
         )
         assert code == 0
         assert "(timed out)" in capsys.readouterr().out
 
 
+def _interrupt(monkeypatch, module, name):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(module, name, interrupted)
+
+
 class TestKeyboardInterrupt:
+    """Exit 130, with the resume hint only when progress was saved."""
+
     def test_simulate_interrupt_exits_130(self, tmp_path, capsys, monkeypatch):
         import repro.eval.scenarios as scenarios
 
-        def interrupted(*args, **kwargs):
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(scenarios, "generate_trace", interrupted)
-        code = main(["simulate", "--out", str(tmp_path / "t.npz")])
+        _interrupt(monkeypatch, scenarios, "generate_trace")
+        code = main(["run", "simulate", "--out", str(tmp_path / "t.npz")])
         assert code == 130
         err = capsys.readouterr().err
         assert "interrupted" in err
         assert "--resume" not in err  # simulate has nothing to resume
 
-    def test_table1_interrupt_hints_resume(self, capsys, monkeypatch):
+    def test_table1_interrupt_hints_resume(self, tmp_path, capsys, monkeypatch):
         import repro.eval.table1 as table1
 
-        def interrupted(*args, **kwargs):
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(table1, "run_table1", interrupted)
-        code = main(["table1"])
+        # --resume journals to the default path in the working directory.
+        monkeypatch.chdir(tmp_path)
+        _interrupt(monkeypatch, table1, "run_table1")
+        code = main(["run", "table1", "--resume"])
         assert code == 130
         assert "resumable with --resume" in capsys.readouterr().err
 
-    def test_train_interrupt_hints_resume(self, capsys, monkeypatch):
+    def test_table1_interrupt_without_journal_has_no_hint(self, capsys, monkeypatch):
         import repro.eval.table1 as table1
 
-        def interrupted(*args, **kwargs):
-            raise KeyboardInterrupt
+        # journal=None writes no journal, so nothing could be resumed.
+        _interrupt(monkeypatch, table1, "run_table1")
+        code = main(["run", "table1"])
+        assert code == 130
+        err = capsys.readouterr().err
+        assert "interrupted" in err and "--resume" not in err
 
-        monkeypatch.setattr(table1, "train_transformer", interrupted)
-        code = main(["train", "--epochs", "1"])
+    def test_train_interrupt_hints_resume(self, tmp_path, capsys, monkeypatch):
+        import repro.eval.table1 as table1
+
+        _interrupt(monkeypatch, table1, "train_transformer")
+        code = main(
+            ["train", "--epochs", "1", "--checkpoint", str(tmp_path / "ck.npz")]
+        )
         assert code == 130
         assert "resumable with --resume" in capsys.readouterr().err
+
+    def test_train_interrupt_without_checkpoint_has_no_hint(
+        self, capsys, monkeypatch
+    ):
+        import repro.eval.table1 as table1
+
+        # Without --checkpoint the trainer does no checkpoint I/O, even
+        # when --resume is passed.
+        _interrupt(monkeypatch, table1, "train_transformer")
+        code = main(["train", "--epochs", "1", "--resume"])
+        assert code == 130
+        err = capsys.readouterr().err
+        assert "interrupted" in err and "--resume" not in err

@@ -2,46 +2,9 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
-
-# One tiny Table-1 configuration expressed as --set overrides, used both
-# through the legacy subcommand and (rendered to TOML) through repro run.
-TINY_TABLE1_OVERRIDES = [
-    "d_model=16",
-    "num_heads=2",
-    "num_layers=1",
-    "d_ff=32",
-    "scenario.buffer_capacity=60",
-    "scenario.steps_per_bin=4",
-    "scenario.interval=25",
-    "scenario.window_intervals=4",
-    "scenario.stride_intervals=2",
-    "scenario.duration_bins=600",
-    "scenario.websearch_sources=6",
-    "scenario.incast_fan_in=4",
-    "scenario.incast_burst=15",
-    "scenario.incast_period=250",
-    "scenario.incast_jitter=60",
-]
-
-
-def _tiny_table1_config():
-    from repro.config import apply_overrides
-    from repro.eval.scenarios import quick_scenario
-    from repro.eval.table1 import Table1Config
-
-    base = Table1Config(scenario=quick_scenario(), epochs=1, seed=0)
-    return apply_overrides(base, TINY_TABLE1_OVERRIDES)
-
-
-def _set_flags(overrides):
-    flags = []
-    for assignment in overrides:
-        flags += ["--set", assignment]
-    return flags
 
 
 class TestVersion:
@@ -91,24 +54,6 @@ class TestRunParser:
 
 
 class TestRunSimulate:
-    def test_run_simulate_matches_legacy_trace(self, tmp_path, capsys):
-        legacy_out = tmp_path / "legacy.npz"
-        run_out = tmp_path / "run.npz"
-        assert main(["simulate", "--duration", "300", "--out", str(legacy_out)]) == 0
-        assert (
-            main(
-                [
-                    "run", "simulate",
-                    "--set", "scenario.duration_bins=300",
-                    "--out", str(run_out),
-                ]
-            )
-            == 0
-        )
-        with np.load(legacy_out) as a, np.load(run_out) as b:
-            for key in a.files:
-                assert (a[key] == b[key]).all(), key
-
     def test_run_simulate_from_config_file(self, tmp_path, capsys):
         from repro.config import apply_overrides, save_config
         from repro.experiments import SimulateConfig
@@ -149,62 +94,16 @@ class TestRunErrors:
         assert code == 2
         assert "scalability" in capsys.readouterr().err
 
-    def test_legacy_table1_bad_set_exits_two(self, capsys):
-        code = main(["table1", "--set", "scenario.durations_bins=9"])
-        assert code == 2
-        assert "did you mean 'duration_bins'" in capsys.readouterr().err
-
-
-class TestRunTable1Equivalence:
-    def test_run_and_legacy_journals_byte_identical(self, tmp_path, capsys):
-        """The acceptance check: one config, two front doors, same bytes.
-
-        ``repro table1 --set ...`` and ``repro run table1 --config tiny.toml``
-        must hash to the same journal scope and commit identical payloads
-        in the same order — the journals are compared byte-for-byte.
-        """
-        from repro.config import save_config
-        from repro.eval.table1 import journal_scope
-
-        config = _tiny_table1_config()
-        toml_path = tmp_path / "tiny.toml"
-        save_config(config, toml_path, experiment="table1")
-
-        legacy_journal = tmp_path / "legacy.jsonl"
-        run_journal = tmp_path / "run.jsonl"
-        assert (
-            main(
-                [
-                    "table1", "--epochs", "1",
-                    "--journal", str(legacy_journal),
-                    *_set_flags(TINY_TABLE1_OVERRIDES),
-                ]
-            )
-            == 0
-        )
-        assert (
-            main(
-                [
-                    "run", "table1",
-                    "--config", str(toml_path),
-                    "--journal", str(run_journal),
-                ]
-            )
-            == 0
-        )
-        assert legacy_journal.read_bytes() == run_journal.read_bytes()
-        assert journal_scope(config) in legacy_journal.read_text()
-
 
 class TestRunKeyboardInterrupt:
-    def test_run_table1_interrupt_hints_resume(self, capsys, monkeypatch):
+    def test_run_table1_interrupt_hints_resume(self, tmp_path, capsys, monkeypatch):
         import repro.eval.table1 as table1
 
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(table1, "run_table1", interrupted)
-        code = main(["run", "table1"])
+        code = main(["run", "table1", "--journal", str(tmp_path / "j.jsonl")])
         assert code == 130
         assert "resumable with --resume" in capsys.readouterr().err
 
