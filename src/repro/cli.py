@@ -214,7 +214,7 @@ def cmd_verify(args) -> int:
 def cmd_obs(args) -> int:
     """Delegate to the observability toolbox (``python -m repro.obs``).
 
-    ``repro obs summary --metrics m.json``, ``repro obs export t.jsonl``,
+    ``repro obs summary --trace t.jsonl``, ``repro obs export t.jsonl``,
     and ``repro obs validate t.jsonl`` all pass through unchanged.
     """
     from repro.obs.__main__ import main as obs_main
@@ -252,18 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
             const=Path("repro-trace.jsonl"),
             default=None,
             metavar="PATH",
-            help="append wall-clock spans to PATH as Chrome-trace JSONL "
-            "(default repro-trace.jsonl; load via `repro obs export`)",
-        )
-        p.add_argument(
-            "--metrics",
-            type=Path,
-            nargs="?",
-            const=Path("repro-metrics.json"),
-            default=None,
-            metavar="PATH",
-            help="snapshot counters/gauges/histograms/series to PATH "
-            "(default repro-metrics.json; accumulates across runs)",
+            help="append the run's record stream (spans, metrics, events, "
+            "live status) to PATH as JSONL (default repro-trace.jsonl; "
+            "read with `repro obs summary|top|export`)",
         )
         p.add_argument(
             "--profile-dir",
@@ -275,36 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="DIR",
             help="cProfile each pipeline stage into DIR "
             "(default repro-profile/): .pstats + top-25 cumulative report",
-        )
-        p.add_argument(
-            "--status-file",
-            dest="status_file",
-            type=Path,
-            nargs="?",
-            const=Path("repro-status.jsonl"),
-            default=None,
-            metavar="PATH",
-            help="append live status snapshots to PATH while running "
-            "(default repro-status.jsonl; tail with `repro obs top`)",
-        )
-        p.add_argument(
-            "--status-interval",
-            dest="status_interval",
-            type=float,
-            default=1.0,
-            metavar="SECONDS",
-            help="seconds between live status snapshots (default 1.0)",
-        )
-        p.add_argument(
-            "--events",
-            dest="events",
-            type=Path,
-            nargs="?",
-            const=Path("repro-events.jsonl"),
-            default=None,
-            metavar="PATH",
-            help="append structured operational events to PATH as JSONL "
-            "(respawns, backpressure, SLO breaches, checkpoint saves)",
         )
 
     # --- repro run <experiment> ---------------------------------------
@@ -435,19 +396,14 @@ def main(argv: list[str] | None = None) -> int:
 
     args = build_parser().parse_args(argv)
     obs_requested = any(
-        getattr(args, dest, None) is not None
-        for dest in ("trace", "metrics", "obs_profile", "status_file", "events")
+        getattr(args, dest, None) is not None for dest in ("trace", "obs_profile")
     )
     if obs_requested:
         import repro.obs as obs
 
         obs.configure(
             trace=getattr(args, "trace", None),
-            metrics=getattr(args, "metrics", None),
             profile=getattr(args, "obs_profile", None),
-            status=getattr(args, "status_file", None),
-            status_interval=getattr(args, "status_interval", 1.0),
-            events=getattr(args, "events", None),
             header={
                 "argv": list(argv) if argv is not None else sys.argv[1:],
                 "command": args.command,

@@ -137,7 +137,7 @@ def _evaluate_method(
     downstream: list[DownstreamReport] = []
     elapsed = 0.0
     with obs.span("table1.evaluate", method=method, windows=len(test.samples)):
-        record_residuals = obs.metrics_enabled() and method
+        record_residuals = obs.enabled() and method
         batched: list[np.ndarray] = []
         if batch_impute_fn is not None:
             for start_index in range(0, len(test.samples), batch_size):
@@ -353,7 +353,7 @@ def _run_table1(config, datasets, pretrained, journal) -> Table1Result:
         enforcer = ConstraintEnforcer(
             test.switch_config, vectorized=config.cem_vectorized
         )
-        record_before = obs.metrics_enabled()
+        record_before = obs.enabled()
 
         def _finish(imputed, sample):
             if record_before:

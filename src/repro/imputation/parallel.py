@@ -19,8 +19,8 @@ k-worker == 1-worker bit-identity guarantee (``TrainerConfig.grad_shards``).
 
 Workers report spans and metrics through :mod:`repro.obs`; the fork
 start method keeps the parent's observability configuration, and
-:func:`repro.obs.child_flush` ships each worker's buffers back to the
-run's journal directory.
+:func:`repro.obs.child_flush` appends each worker's buffered records to
+the run's record stream.
 """
 
 from __future__ import annotations

@@ -345,7 +345,7 @@ class Trainer:
                 self.history.constraint_loss.append(epoch_constraint / num_batches)
                 if self.val_set is not None and len(self.val_set):
                     self.history.val_emd.append(self.evaluate(self.val_set))
-            if obs.metrics_enabled():
+            if obs.enabled():
                 self._emit_epoch_metrics(kind)
             if cfg.log_every and (epoch + 1) % cfg.log_every == 0:
                 val = f", val_emd={self.history.val_emd[-1]:.4f}" if self.history.val_emd else ""
@@ -475,7 +475,7 @@ class Trainer:
             return self._compute_shard(indices, lam)
 
     def _emit_epoch_metrics(self, kind: str) -> None:
-        """Stream the latest epoch's diagnostics into the metrics registry.
+        """Record the latest epoch's diagnostics in the observability stream.
 
         Series names are prefixed ``trainer.<kind>`` (``base`` or ``kal``)
         so a Table-1 run's two trainings stay distinguishable; with KAL the

@@ -69,7 +69,7 @@ class MultiHeadAttention(Module):
         bias = Tensor.concatenate(
             (self.q_proj.bias, self.k_proj.bias, self.v_proj.bias), axis=0
         )
-        if obs.metrics_enabled():
+        if obs.enabled():
             start = time.perf_counter()
             qkv = x @ weight + bias
             obs.histogram(f"nn.gemm.{self.label}.qkv.seconds").observe(

@@ -79,7 +79,7 @@ class TransformerEncoderLayer(Module):
     def forward(self, x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
         attended = self.self_attn(self.norm1(x), mask=mask)
         x = x + self.dropout1(attended)
-        if obs.metrics_enabled():
+        if obs.enabled():
             start = time.perf_counter()
             transformed = self._feed_forward(self.norm2(x))
             obs.histogram(f"nn.gemm.{self.label}.ffn.seconds").observe(

@@ -1,11 +1,12 @@
-"""``python -m repro.obs`` — offline trace/metrics tooling.
+"""``python -m repro.obs`` — tooling over the record stream.
 
 Mirrors the ``repro obs`` CLI subcommand so the tools work without the
-console entry point (e.g. in CI): ``summary`` renders metrics and trace
-tables, ``export`` wraps a JSONL trace for Perfetto, ``validate`` checks
-a trace (or event log) against a checked-in schema, ``top`` tails a
-live-status file as a terminal dashboard, and ``bench ingest``/``bench
-check`` maintain the bench-trajectory ledger and its regression gate.
+console entry point (e.g. in CI): ``summary`` renders a stream's runs,
+metrics and spans as tables, ``export`` writes its Chrome trace events
+for Perfetto, ``validate`` checks it against a checked-in schema,
+``top`` folds it into a terminal dashboard while the run is in flight,
+and ``bench ingest``/``bench check`` maintain the bench-trajectory
+ledger and its regression gate.
 """
 
 from __future__ import annotations
@@ -23,23 +24,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_summary = sub.add_parser(
-        "summary", help="render a metrics snapshot and/or trace as tables"
-    )
-    p_summary.add_argument(
-        "--metrics",
-        default=None,
-        help="metrics.json snapshot to summarize",
+        "summary", help="render a stream's runs, metrics and spans as tables"
     )
     p_summary.add_argument(
         "--trace",
-        default=None,
-        help="JSONL trace file to aggregate by span name",
+        default="repro-trace.jsonl",
+        help="record stream written by --trace (default: repro-trace.jsonl)",
     )
 
     p_export = sub.add_parser(
-        "export", help="wrap a JSONL trace into Perfetto-loadable JSON"
+        "export", help="write a stream's trace events as Perfetto-loadable JSON"
     )
-    p_export.add_argument("trace", help="JSONL trace file")
+    p_export.add_argument("trace", help="record stream (JSONL)")
     p_export.add_argument(
         "--out",
         default=None,
@@ -47,9 +43,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_validate = sub.add_parser(
-        "validate", help="validate a JSONL trace or event log against a schema"
+        "validate", help="validate a record stream against a schema"
     )
-    p_validate.add_argument("trace", help="JSONL trace / event-log file")
+    p_validate.add_argument("trace", help="record stream (JSONL)")
     p_validate.add_argument(
         "--schema",
         default="tests/corpus/obs_trace.schema.json",
@@ -57,12 +53,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_top = sub.add_parser(
-        "top", help="terminal dashboard tailing a live status file"
+        "top", help="terminal dashboard folding a record stream as it grows"
     )
     p_top.add_argument(
-        "--status",
-        default="repro-status.jsonl",
-        help="status file written by --status-file (default: repro-status.jsonl)",
+        "--trace",
+        default="repro-trace.jsonl",
+        help="record stream written by --trace (default: repro-trace.jsonl)",
     )
     p_top.add_argument(
         "--interval",
@@ -124,28 +120,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(args: argparse.Namespace) -> int:
     if args.command == "summary":
-        if args.metrics is None and args.trace is None:
-            # Fall back to the CLI's default artifact paths when present.
-            if Path("repro-metrics.json").exists():
-                args.metrics = "repro-metrics.json"
-            if Path("repro-trace.jsonl").exists():
-                args.trace = "repro-trace.jsonl"
-        if args.metrics is None and args.trace is None:
-            print("nothing to summarize: pass --metrics and/or --trace",
-                  file=sys.stderr)
+        if not Path(args.trace).exists():
+            print(f"{args.trace}: no stream to summarize", file=sys.stderr)
             return 2
-        from repro.obs.summary import summarize_metrics, summarize_trace
+        from repro.obs.summary import summarize
 
-        sections = []
-        if args.metrics is not None:
-            sections.append(summarize_metrics(args.metrics))
-        if args.trace is not None:
-            sections.append(summarize_trace(args.trace))
-        print("\n\n".join(sections))
+        print(summarize(args.trace))
         return 0
 
     if args.command == "export":
-        from repro.obs.trace import export_chrome
+        from repro.obs.fold import export_chrome
 
         out = args.out or str(Path(args.trace).with_suffix(".chrome.json"))
         written = export_chrome(args.trace, out)
@@ -162,9 +146,9 @@ def run(args: argparse.Namespace) -> int:
             print(f"{args.trace}: INVALID ({len(errors)} error(s))",
                   file=sys.stderr)
             return 1
-        from repro.obs.trace import read_events
+        from repro.obs.fold import read_records
 
-        print(f"{args.trace}: valid ({len(read_events(args.trace))} events)")
+        print(f"{args.trace}: valid ({len(read_records(args.trace))} records)")
         return 0
 
     if args.command == "top":
@@ -179,19 +163,19 @@ def run(args: argparse.Namespace) -> int:
 def _run_top(args: argparse.Namespace) -> int:
     import time
 
-    from repro.obs.live import latest_path_for, load_latest, render_status
+    from repro.obs.fold import fold
+    from repro.obs.summary import render_status
 
-    latest = latest_path_for(args.status)
     while True:
         try:
-            snapshot = load_latest(args.status)
+            view = fold(args.trace)
         except FileNotFoundError:
             if args.once:
-                print(f"{latest}: no status yet", file=sys.stderr)
+                print(f"{args.trace}: no status yet", file=sys.stderr)
                 return 2
-            frame = f"waiting for {latest} ..."
+            frame = f"waiting for {args.trace} ..."
         else:
-            frame = render_status(snapshot)
+            frame = render_status(view)
         if args.once:
             print(frame)
             return 0

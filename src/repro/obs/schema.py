@@ -1,14 +1,17 @@
-"""Trace-file validation against a checked-in, dependency-free schema.
+"""Stream validation against a checked-in, dependency-free schema.
 
 The schema file (``tests/corpus/obs_trace.schema.json``) declares, in a
 small JSON-Schema-like dialect interpreted here (no ``jsonschema``
-dependency), what every line of a repro trace must look like:
+dependency), what every record of a repro stream must look like:
 
-* ``event.required`` — keys every event must carry;
+* ``event.required`` — keys every record must carry;
 * ``event.properties`` — per-key ``type`` (``string`` / ``integer`` /
-  ``number`` / ``object``), optional ``const``, ``enum``, ``minimum``;
+  ``number`` / ``object`` / ``array``), optional ``const``, ``enum``,
+  ``minimum``;
 * ``event.additionalProperties: false`` — unknown keys are errors;
 * ``event.phase_required`` — extra required keys per ``ph`` value;
+* ``event.phase_properties`` — extra per-key rules per ``ph`` value
+  (the ``i`` records' ``name`` enum is the closed event vocabulary);
 * ``file.require_header`` / ``file.header_name`` — at least one header
   metadata event whose args carry ``schema_version``;
 * ``file.min_events`` — the file must not be empty.
@@ -25,7 +28,7 @@ import os
 from pathlib import Path
 from typing import Any
 
-from repro.obs.trace import read_events
+from repro.obs.fold import read_records
 
 _TYPE_CHECKS = {
     "string": lambda v: isinstance(v, str),
@@ -52,12 +55,14 @@ def _check_event(
         if key not in event:
             errors.append(f"{where}: missing required key {key!r}")
     properties = rules.get("properties", {})
+    phase = event.get("ph")
     for key, value in event.items():
         spec = properties.get(key)
         if spec is None:
             if rules.get("additionalProperties") is False:
                 errors.append(f"{where}: unknown key {key!r}")
             continue
+        spec = {**spec, **rules.get("phase_properties", {}).get(phase, {}).get(key, {})}
         expected = spec.get("type")
         if expected is not None and not _TYPE_CHECKS[expected](value):
             errors.append(
@@ -80,7 +85,6 @@ def _check_event(
                     f"{where}: key {key!r} below minimum "
                     f"{spec['minimum']!r}: {value!r}"
                 )
-    phase = event.get("ph")
     for key in rules.get("phase_required", {}).get(phase, []):
         if key not in event:
             errors.append(
@@ -93,10 +97,10 @@ def validate_trace(
     trace_path: "str | os.PathLike[str]",
     schema_path: "str | os.PathLike[str]",
 ) -> list[str]:
-    """Validate a JSONL trace file; return error strings (empty = valid)."""
+    """Validate a record stream; return error strings (empty = valid)."""
     schema = load_schema(schema_path)
     try:
-        events = read_events(trace_path)
+        events = read_records(trace_path)
     except (OSError, ValueError) as exc:
         return [str(exc)]
 

@@ -6,7 +6,7 @@ Supervisor is retrying a failed attempt, and ``dead`` once its retries
 are exhausted.  The board is bookkeeping only — pure dicts and floats,
 cheap enough to run unconditionally — and is *surfaced* through
 :class:`~repro.serve.service.ServeReport` and the live ``health``
-section of the status file.
+section of the record stream.
 
 State machine per shard::
 

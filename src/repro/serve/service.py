@@ -124,8 +124,9 @@ class _ShardJob:
     def __call__(self, payload: tuple) -> list[_WindowResult]:
         dispatch, shard, tasks = payload
         # Counted *inside* the job so supervised shards count in their own
-        # process: a crashed attempt's count dies with it (os._exit stages
-        # no .parts) and only the successful respawn's count merges in.
+        # process: a crashed attempt's count dies with it (a forked child
+        # writes only at child_flush) and only the successful respawn's
+        # count reaches the stream.
         obs.counter("serve.shard.windows").inc(len(tasks))
         with obs.span("serve.shard", dispatch=dispatch, shard=shard, windows=len(tasks)):
             samples = [
@@ -570,7 +571,6 @@ class StreamService:
                     outcome=record.outcome,
                     attempt=record.attempt,
                 )
-            obs.live_tick()
 
         supervisor = Supervisor(
             self._dispatch_fn,
@@ -606,12 +606,12 @@ class StreamService:
             self._wall_seconds = time.perf_counter() - self._started_at
 
     def _publish_live(self) -> None:
-        """Push the service/health/slo sections to the live exporter.
+        """Publish the service/health/slo live sections to the stream.
 
-        The section payloads are only *built* when live export is on —
+        The section payloads are only *built* when the stream is on —
         the disabled path is one function call and a boolean check.
         """
-        if not obs.live_enabled():
+        if not obs.enabled():
             return
         obs.live_section(
             "serve",
@@ -627,7 +627,6 @@ class StreamService:
         obs.live_section("health", self.health.snapshot())
         if self._slo is not None:
             obs.live_section("slo", self._slo.snapshot())
-        obs.live_tick()
 
     def quarantined(self) -> list[ImputedWindow]:
         """Windows the sentinel held back (``ood_action="quarantine"``)."""

@@ -90,9 +90,9 @@ class TraceCache:
     def cache_stats(self) -> dict[str, int]:
         """This instance's lifetime counters as a plain dict.
 
-        The same numbers stream into the :mod:`repro.obs` metrics
-        registry (``cache.hits``/``cache.misses``/...) when metrics are
-        enabled; the accessor works regardless, so tests and callers can
+        The same numbers stream into the :mod:`repro.obs` record stream
+        (``cache.hits``/``cache.misses``/...) when it is enabled; the
+        accessor works regardless, so tests and callers can
         assert cache behaviour without turning observability on.
         """
         return {

@@ -77,3 +77,20 @@ def gradcheck():
         check_gradients(f, np.asarray(x0, dtype=float), atol=atol, rtol=1e-4)
 
     return check
+
+
+@pytest.fixture
+def stream_writes(monkeypatch):
+    """Record every O_APPEND write the obs stream writer makes in this
+    process (the payload bytes, one entry per write)."""
+    from repro.obs import stream
+
+    writes = []
+    original = stream._StreamWriter._write
+
+    def counting(self, data):
+        writes.append(data)
+        original(self, data)
+
+    monkeypatch.setattr(stream._StreamWriter, "_write", counting)
+    return writes

@@ -87,16 +87,16 @@ class TestToggle:
 
     def test_gauge_reports_mode(self, small_dataset, tmp_path):
         import repro.obs as obs
-        from repro.obs.metrics import load_snapshot
+        from repro.obs.fold import fold
 
-        path = tmp_path / "metrics.json"
+        path = tmp_path / "stream.jsonl"
         sample = small_dataset[0]
         try:
-            obs.configure(metrics=path)
+            obs.configure(trace=path)
             ConstraintEnforcer(small_dataset.switch_config, vectorized=True).enforce(
                 sample.target_raw, sample
             )
         finally:
             obs.finish()
-        metrics = load_snapshot(path)["metrics"]
+        metrics = fold(path)["metrics"]
         assert metrics["cem.vectorized"] == {"type": "gauge", "value": 1.0}

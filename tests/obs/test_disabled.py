@@ -32,15 +32,14 @@ class TestDisabledIsNoop:
         obs.histogram("x").observe(1.0)
         obs.series("x").append(1.0)
         obs.gauge("x").set(1.0)
-        # The live-plane dispatchers are plain no-op returns when off.
+        # The event and live-section dispatchers are plain no-op returns.
         assert obs.event("backpressure", shard=0) is None
-        assert obs.live_tick() is None
         assert obs.live_section("health", {"0": "live"}) is None
-        assert not obs.live_enabled() and not obs.events_enabled()
+        assert not obs.profiling_enabled()
 
     def test_import_repro_never_imports_obs_submodules(self):
         # Run in a fresh interpreter: importing the package and every
-        # instrumented module must not pull in the trace/metrics/profile
+        # instrumented module must not pull in the stream/fold/profile
         # machinery (repro.obs itself is a stdlib-only flag holder).
         code = (
             "import sys\n"
@@ -53,7 +52,6 @@ class TestDisabledIsNoop:
             "import repro.smt.solver\n"
             "import repro.obs\n"
             "repro.obs.event('backpressure', shard=0)\n"
-            "repro.obs.live_tick()\n"
             "repro.obs.live_section('health', {})\n"
             "loaded = [m for m in sys.modules if m.startswith('repro.obs.')]\n"
             "assert not loaded, f'eagerly imported: {loaded}'\n"

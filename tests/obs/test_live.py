@@ -1,27 +1,23 @@
-"""Live status export: mid-run snapshots, the latest.json contract, top.
+"""Live status on the record stream: sections, flush policy, ``top``.
 
-The exporter's guarantees under test: every flush appends one JSONL
-snapshot with a monotonically increasing ``seq`` and atomically replaces
-``<status>.latest.json``; flushes are time-gated by the configured
-interval; forked children never write (pid-checked no-ops); a
-status-only run leaves *no* metrics document behind; and the snapshot
-folds in child ``.parts`` without consuming the sidecar the final
-metrics merge depends on.
+Guarantees under test: sections and metrics published mid-run reach the
+stream while the run is in flight, and the fold keeps the last section
+per name; the root's flushes are gated by the record count, span
+boundaries, events and the flush period — never by metric calls; a
+forked child writes nothing until ``child_flush``; a run leaves exactly
+one file behind; and ``repro obs top`` renders a fold of that file.
 """
 
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
 import repro.obs as obs
-from repro.obs.live import (
-    LiveExporter,
-    latest_path_for,
-    load_latest,
-    render_status,
-)
+from repro.obs.fold import fold
+from repro.obs.summary import render_status
 
 
 def _lines(path):
@@ -34,115 +30,119 @@ def _lines(path):
 
 class TestExporter:
     def test_flushes_append_jsonl_and_replace_latest(self, tmp_path):
-        status = tmp_path / "status.jsonl"
-        obs.configure(status=status, status_interval=1e-9, header={"exp": "t"})
+        path = tmp_path / "s.jsonl"
+        obs.configure(trace=path, header={"exp": "t"})
         obs.counter("live.test").inc(3)
+        obs.live_section("health", {"0": "starting"})
         obs.live_section("health", {"0": "live"})
-        obs.live_tick()
+        # An event flushes: the section is on disk while the run is open.
+        obs.event("service_started", shards=1, supervised=False)
+        mid = [r for r in _lines(path) if r["ph"] == "section"]
+        assert [r["args"] for r in mid] == [{"0": "live"}]
+        obs.live_section("health", {"0": "dead"})
         obs.finish()
 
-        snapshots = _lines(status)
-        assert len(snapshots) >= 3  # initial + tick + final
-        assert [s["seq"] for s in snapshots] == list(range(len(snapshots)))
-        assert all(s["schema_version"] == 1 for s in snapshots)
-        assert all(s["run"] == {"exp": "t"} for s in snapshots)
-        # latest.json is exactly the last appended snapshot.
-        latest = load_latest(status)
-        assert latest == snapshots[-1]
-        assert latest["sections"]["health"] == {"0": "live"}
-        assert latest["metrics"]["live.test"] == {"type": "counter", "value": 3}
+        view = fold(path)
+        assert view["runs"] == [{"exp": "t"}]
+        assert view["sections"]["health"] == {"0": "dead"}
+        assert view["metrics"]["live.test"] == {"type": "counter", "value": 3}
 
     def test_status_only_run_leaves_only_status_files(self, tmp_path):
-        status = tmp_path / "status.jsonl"
-        obs.configure(status=status, status_interval=1e-9)
+        path = tmp_path / "s.jsonl"
+        obs.configure(trace=path)
         obs.counter("ephemeral").inc()
-        obs.live_tick()
+        obs.live_section("health", {"0": "live"})
         obs.finish()
-        created = {p.name for p in tmp_path.iterdir()}
-        # The shadow registry feeding the exporter must not persist: no
-        # metrics document, no .parts sidecar, no tmp files.
-        assert created == {"status.jsonl", "status.jsonl.latest.json"}, created
+        # One stream, no sidecars, no tmp files.
+        assert {p.name for p in tmp_path.iterdir()} == {"s.jsonl"}
 
-    def test_interval_gates_intermediate_flushes(self, tmp_path):
-        status = tmp_path / "status.jsonl"
-        obs.configure(status=status, status_interval=3600.0)
-        for _ in range(50):
-            obs.live_tick()
+    def test_interval_gates_intermediate_flushes(self, tmp_path, stream_writes):
+        writes = stream_writes
+        path = tmp_path / "s.jsonl"
+        obs.configure(trace=path)
+        with obs.span("outer"):
+            for i in range(200):
+                obs.counter("calls").inc()
+                obs.live_section("health", {"i": i})
+                with obs.span("inner"):
+                    pass
+        # Nested spans, sections and metric calls alone never flush inside
+        # the flush period; the top-level span end does, once.
+        assert len(writes) == 1
+        obs.counter("calls").inc()
         obs.finish()
-        # Exactly the forced flushes: one at open, one at close.
-        assert len(_lines(status)) == 2
+        assert len(writes) == 2
+        assert fold(path)["sections"]["health"] == {"i": 199}
+        assert fold(path)["metrics"]["calls"]["value"] == 201
 
     def test_annotate_reaches_subsequent_snapshots(self, tmp_path):
-        status = tmp_path / "status.jsonl"
-        obs.configure(status=status, status_interval=3600.0, header={"a": 1})
+        path = tmp_path / "s.jsonl"
+        obs.configure(trace=path, header={"a": 1})
         obs.annotate(config_digest="abc123")
         obs.finish()
-        first, last = _lines(status)
-        assert first["run"] == {"a": 1}
-        assert last["run"] == {"a": 1, "config_digest": "abc123"}
+        (run,) = fold(path)["runs"]
+        assert run == {"a": 1, "config_digest": "abc123"}
+        assert "config_digest=abc123" in render_status(fold(path))
 
     def test_child_process_never_writes(self, tmp_path):
-        status = tmp_path / "status.jsonl"
-        exporter = LiveExporter(status, interval=1e-9)
-        exporter.flush(force=True)
-        assert len(_lines(status)) == 1
-        # Simulate inheritance by fork: the recorded pid differs from
-        # getpid(), so flushes and section updates are no-ops.
-        exporter.pid += 1
-        exporter.set_section("health", {"0": "live"})
-        exporter.flush(force=True)
-        exporter.tick()
-        assert len(_lines(status)) == 1
-        exporter.pid -= 1
-        assert exporter._sections == {}
-
-    def test_snapshot_merges_parts_without_consuming_sidecar(self, tmp_path):
-        metrics = tmp_path / "metrics.json"
-        status = tmp_path / "status.jsonl"
-        obs.configure(metrics=metrics, status=status, status_interval=3600.0)
-        obs.counter("merged.counter").inc(2)
-        # Stage a fake child contribution the way child_flush does.
-        parts = metrics.with_name(metrics.name + ".parts")
-        parts.write_text(
-            json.dumps(
-                {"pid": 999999, "metrics": {"merged.counter": {"type": "counter", "value": 5}}}
-            )
-            + "\n",
-            encoding="utf-8",
-        )
+        if not hasattr(os, "fork"):
+            pytest.skip("no fork on this platform")
+        path = tmp_path / "s.jsonl"
+        obs.configure(trace=path)
+        pid = os.fork()
+        if pid == 0:
+            # Spans, events, sections and metrics, then a crash before
+            # child_flush: nothing of this attempt may reach the stream.
+            with obs.span("child.work"):
+                obs.counter("child.windows").inc(4)
+            obs.event("respawn", shard=0, outcome="crash", attempt=1)
+            obs.live_section("health", {"0": "child"})
+            os._exit(9)
+        os.waitpid(pid, 0)
         obs.finish()
-        last = _lines(status)[-1]
-        assert last["metrics"]["merged.counter"]["value"] == 7
-        # ... and the final metrics document still merged the same parts
-        # (the live view must not have consumed the sidecar).
-        document = json.loads(metrics.read_text(encoding="utf-8"))
-        assert document["metrics"]["merged.counter"]["value"] == 7
-        assert not parts.exists()
+        assert all(r["pid"] != pid for r in _lines(path))
+        assert "child.windows" not in fold(path)["metrics"]
 
-    def test_validation(self, tmp_path):
-        with pytest.raises(ValueError, match="interval"):
-            LiveExporter(tmp_path / "s.jsonl", interval=0.0)
+    def test_child_records_fold_alongside_the_root(self, tmp_path):
+        if not hasattr(os, "fork"):
+            pytest.skip("no fork on this platform")
+        path = tmp_path / "s.jsonl"
+        obs.configure(trace=path)
+        obs.counter("merged.counter").inc(2)
+        pid = os.fork()
+        if pid == 0:
+            try:
+                obs.counter("merged.counter").inc(5)
+                obs.child_flush()
+            finally:
+                os._exit(0)
+        os.waitpid(pid, 0)
+        obs.child_flush()
+        # Folding only reads: the same view twice mid-run, and the child's
+        # records stay in the stream for the final view.
+        assert fold(path) == fold(path)
+        assert fold(path)["metrics"]["merged.counter"]["value"] == 7
+        obs.finish()
+        assert fold(path)["metrics"]["merged.counter"]["value"] == 7
+        assert set(fold(path)["pids"]) == {os.getpid(), pid}
 
 
 class TestReadersAndTop:
-    def test_latest_path_for(self, tmp_path):
-        assert latest_path_for(tmp_path / "s.jsonl").name == "s.jsonl.latest.json"
-
     def test_load_latest_missing_and_malformed(self, tmp_path):
-        status = tmp_path / "s.jsonl"
+        path = tmp_path / "s.jsonl"
         with pytest.raises(FileNotFoundError):
-            load_latest(status)
-        latest_path_for(status).write_text("[1, 2]\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="not a repro live status"):
-            load_latest(status)
+            fold(path)
+        path.write_text('[1, 2]\n{"ph": "X"}\n', encoding="utf-8")
+        with pytest.raises(ValueError, match=r"s\.jsonl:1: record is not an object"):
+            fold(path)
 
     def test_render_status_frame(self, tmp_path):
-        status = tmp_path / "status.jsonl"
-        obs.configure(status=status, status_interval=3600.0, header={"exp": "serve"})
+        path = tmp_path / "s.jsonl"
+        obs.configure(trace=path, header={"exp": "serve"})
         obs.counter("serve.windows").inc(18)
         obs.live_section("health", {"0": {"state": "live", "beats": 4}})
         obs.finish()
-        frame = render_status(load_latest(status))
+        frame = render_status(fold(path))
         assert frame.splitlines()[0] == "repro live status"
         assert "exp=serve" in frame
         assert "[health]" in frame and "state=live" in frame
@@ -151,15 +151,15 @@ class TestReadersAndTop:
     def test_top_once_renders_and_exits_zero(self, tmp_path, capsys):
         from repro.obs.__main__ import main
 
-        status = tmp_path / "status.jsonl"
-        obs.configure(status=status, status_interval=3600.0)
+        path = tmp_path / "s.jsonl"
+        obs.configure(trace=path)
         obs.finish()
-        assert main(["top", "--status", str(status), "--once"]) == 0
+        assert main(["top", "--trace", str(path), "--once"]) == 0
         assert "repro live status" in capsys.readouterr().out
 
     def test_top_once_without_status_exits_two(self, tmp_path, capsys):
         from repro.obs.__main__ import main
 
         missing = tmp_path / "absent.jsonl"
-        assert main(["top", "--status", str(missing), "--once"]) == 2
+        assert main(["top", "--trace", str(missing), "--once"]) == 2
         assert "no status yet" in capsys.readouterr().err

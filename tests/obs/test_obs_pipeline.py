@@ -1,9 +1,9 @@
-"""End-to-end observability: chained CLI runs share one trace + snapshot.
+"""End-to-end observability: chained CLI runs share one record stream.
 
 Mirrors the CI obs-smoke job: a micro Table-1 run, the scalability
 study, a cache-backed simulate pair, and a supervised sweep all append
-to the same trace file and accumulate into the same metrics document;
-the result validates against the checked-in schema, exports to the
+to the same stream, whose metric fold accumulates across them; the
+result validates against the checked-in schema, exports to the
 Perfetto-loadable form, and covers spans from the instrumented modules
 — including supervised child processes under their own pids.
 """
@@ -18,9 +18,8 @@ import pytest
 
 import repro.obs as obs
 from repro.cli import main
-from repro.obs.metrics import load_snapshot
+from repro.obs.fold import fold, read_records
 from repro.obs.schema import validate_trace
-from repro.obs.trace import read_events
 
 SCHEMA = Path(__file__).resolve().parents[1] / "corpus" / "obs_trace.schema.json"
 
@@ -53,15 +52,11 @@ def _set_flags(overrides):
 
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):
-    """One shared trace/metrics/profile artifact set from chained runs."""
+    """One shared stream/profile artifact set from chained runs."""
     root = tmp_path_factory.mktemp("obs")
     trace = root / "trace.jsonl"
-    metrics = root / "metrics.json"
     profile = root / "profile"
-    obs_flags = [
-        "--trace", str(trace), "--metrics", str(metrics),
-        "--profile-dir", str(profile),
-    ]
+    obs_flags = ["--trace", str(trace), "--profile-dir", str(profile)]
 
     assert (
         main(
@@ -104,7 +99,7 @@ def artifacts(tmp_path_factory):
     from repro.eval.parallel import simulate_jobs_supervised
     from repro.eval.scenarios import quick_scenario
 
-    obs.configure(trace=trace, metrics=metrics)
+    obs.configure(trace=trace)
     scenario = dataclasses.replace(quick_scenario(), duration_bins=200)
     sweep = simulate_jobs_supervised(
         [(scenario, 11), (scenario, 12)], workers=2
@@ -112,7 +107,7 @@ def artifacts(tmp_path_factory):
     assert not sweep.report.failures
     obs.finish()
 
-    return {"trace": trace, "metrics": metrics, "profile": profile}
+    return {"trace": trace, "profile": profile}
 
 
 class TestPipelineTrace:
@@ -121,7 +116,7 @@ class TestPipelineTrace:
 
     def test_spans_cover_instrumented_modules(self, artifacts):
         spans = {
-            e["name"] for e in read_events(artifacts["trace"]) if e["ph"] == "X"
+            e["name"] for e in read_records(artifacts["trace"]) if e["ph"] == "X"
         }
         modules = {name.split(".")[0] for name in spans}
         # simulate → train → enforce → evaluate, plus cache and workers.
@@ -134,7 +129,7 @@ class TestPipelineTrace:
         assert len(modules) >= 6
 
     def test_supervised_child_spans_carry_child_pids(self, artifacts):
-        events = read_events(artifacts["trace"])
+        events = read_records(artifacts["trace"])
         attempt_pids = {
             e["pid"] for e in events
             if e["ph"] == "X" and e["name"] == "supervisor.attempt"
@@ -153,11 +148,12 @@ class TestPipelineTrace:
         assert main(["obs", "export", str(artifacts["trace"]), "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert isinstance(doc["traceEvents"], list) and doc["traceEvents"]
+        assert {e["ph"] for e in doc["traceEvents"]} <= {"X", "M", "i"}
 
 
 class TestPipelineMetrics:
     def test_residual_and_cache_series_recorded(self, artifacts):
-        metrics = load_snapshot(artifacts["metrics"])["metrics"]
+        metrics = fold(artifacts["trace"])["metrics"]
         for c in ("c1", "c2", "c3"):
             assert metrics[f"cem.residual_before.{c}"]["count"] >= 1
             assert metrics[f"table1.full.residual.{c}"]["count"] >= 1
@@ -167,7 +163,7 @@ class TestPipelineMetrics:
         assert metrics["smt.solves"]["value"] >= 1
 
     def test_runs_carry_config_digests(self, artifacts):
-        runs = load_snapshot(artifacts["metrics"])["runs"]
+        runs = fold(artifacts["trace"])["runs"]
         assert len(runs) >= 4  # table1, scalability, simulate x2
         digests = [r.get("config_digest") for r in runs if "config_digest" in r]
         assert digests and all(len(d) == 64 for d in digests)
@@ -175,11 +171,7 @@ class TestPipelineMetrics:
     def test_obs_summary_renders(self, artifacts, capsys):
         assert (
             main(
-                [
-                    "obs", "summary",
-                    "--metrics", str(artifacts["metrics"]),
-                    "--trace", str(artifacts["trace"]),
-                ]
+                ["obs", "summary", "--trace", str(artifacts["trace"])]
             )
             == 0
         )

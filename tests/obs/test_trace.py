@@ -1,4 +1,4 @@
-"""Span tracing: Chrome trace event shape, nesting, forks, export."""
+"""Span records: Chrome trace event shape, nesting, forks, export, parsing."""
 
 from __future__ import annotations
 
@@ -8,16 +8,16 @@ import os
 import pytest
 
 import repro.obs as obs
-from repro.obs.trace import export_chrome, read_events
+from repro.obs.fold import export_chrome, read_records
 
 
 def _x_events(path):
-    return [e for e in read_events(path) if e["ph"] == "X"]
+    return [e for e in read_records(path) if e["ph"] == "X"]
 
 
 def _header(path):
     return [
-        e for e in read_events(path)
+        e for e in read_records(path)
         if e["ph"] == "M" and e["name"] == "repro_trace_header"
     ]
 
@@ -69,6 +69,7 @@ class TestSpans:
         obs.finish()
         headers = _header(trace)
         assert headers[0]["args"]["command"] == "test"
+        assert headers[0]["args"]["schema_version"] == 2
         assert any(h["args"].get("config_digest") == "abc123" for h in headers)
 
     def test_append_only_across_runs(self, tmp_path):
@@ -104,7 +105,7 @@ class TestForkedChildren:
         assert events["child.work"]["pid"] == pid
         # The child announces itself as a worker process for the viewer.
         worker_meta = [
-            e for e in read_events(trace)
+            e for e in read_records(trace)
             if e["ph"] == "M" and e["name"] == "process_name" and e["pid"] == pid
         ]
         assert worker_meta, "forked child must emit its own process_name"
@@ -115,15 +116,35 @@ class TestExportAndParse:
         trace = tmp_path / "t.jsonl"
         obs.configure(trace=trace)
         with obs.span("a"):
-            pass
+            obs.counter("a.calls").inc()
+            obs.live_section("health", {"0": "live"})
+            obs.event("respawn", shard=0, outcome="crash", attempt=1)
         obs.finish()
         out = export_chrome(trace, tmp_path / "t.chrome.json")
         doc = json.loads(out.read_text())
         assert doc["displayTimeUnit"] == "ms"
         assert any(e["name"] == "a" for e in doc["traceEvents"])
+        # Only Chrome trace events: metric and section records stay out.
+        assert {e["ph"] for e in doc["traceEvents"]} == {"X", "M", "i"}
 
     def test_read_events_rejects_malformed_lines(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
-        bad.write_text('{"name": "ok", "ph": "X"}\nnot json\n')
-        with pytest.raises(ValueError, match=":2: not valid JSON"):
-            read_events(bad)
+        bad.write_text('{"name": "ok", "ph": "X"}\nnot json\n{"ph": "X"}\n')
+        with pytest.raises(ValueError, match=r"bad\.jsonl:2: not valid JSON"):
+            read_records(bad)
+
+    def test_malformed_terminated_final_line_is_an_error(self, tmp_path):
+        # Only an *unterminated* final line is a torn write; a complete
+        # line that does not parse is corruption and names its place.
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"name": "ok", "ph": "X"}\n{"name": \n')
+        with pytest.raises(ValueError, match=r"bad\.jsonl:2: not valid JSON"):
+            read_records(bad)
+
+    def test_unterminated_final_line_is_dropped(self, tmp_path):
+        torn = tmp_path / "torn.jsonl"
+        torn.write_text('{"name": "ok", "ph": "X"}\n{"name": "cut", "p')
+        assert [r["name"] for r in read_records(torn)] == ["ok"]
+        # ... unless it parsed: a writer killed right before the newline.
+        torn.write_text('{"name": "ok", "ph": "X"}\n{"name": "whole"}')
+        assert [r["name"] for r in read_records(torn)] == ["ok", "whole"]

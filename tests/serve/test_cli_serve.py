@@ -48,21 +48,17 @@ def test_run_serve_sustained_slo_breach_exits_4_with_slo_exit(
 ):
     import repro.obs as obs
     from repro.cli import main
-    from repro.obs.events import read_events
-    from repro.obs.live import load_latest
+    from repro.obs.fold import fold, read_records
 
     monkeypatch.chdir(tmp_path)
-    status = tmp_path / "obs" / "status.jsonl"
-    events = tmp_path / "obs" / "events.jsonl"
+    stream = tmp_path / "obs" / "stream.jsonl"
     rc = main(
         [
             "run", "serve", *MICRO,
             "--slo-exit",
             "--set", "slo_p99_latency=1e-9",
             "--set", "slo_sustain=1",
-            "--status-file", str(status),
-            "--status-interval", "0.05",
-            "--events", str(events),
+            "--trace", str(stream),
         ]
     )
     obs.finish()
@@ -70,9 +66,9 @@ def test_run_serve_sustained_slo_breach_exits_4_with_slo_exit(
     out = capsys.readouterr().out
     assert "sustained breach" in out
     assert "exit 4" in out
-    # The live plane ran alongside: status snapshots, a valid event log.
-    assert load_latest(status)["sections"]["serve"]["windows"] > 0
-    kinds = {e["kind"] for e in read_events(events)}
+    # The live plane ran alongside: status sections and events in the stream.
+    assert fold(stream)["sections"]["serve"]["windows"] > 0
+    kinds = {r["name"] for r in read_records(stream) if r["ph"] == "i"}
     assert {"service_started", "slo_breach", "service_drained"} <= kinds
 
 

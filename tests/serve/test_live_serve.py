@@ -12,15 +12,16 @@ inline micro replay.
 
 from __future__ import annotations
 
+import math
+import os
 import time
 
 import pytest
 
 import repro.obs as obs
-from repro.obs.events import read_events
-from repro.obs.live import load_latest
-from repro.obs.metrics import load_snapshot
-from repro.resilience.faults import CrashOnce
+from repro.obs import stream
+from repro.obs.fold import fold, read_records
+from repro.resilience.faults import CrashOnce, payload_key
 from repro.serve.errors import ServeError
 from repro.serve.service import StreamService
 from repro.serve.slo import SloPolicy
@@ -33,6 +34,30 @@ from repro.testing.stream import (
 
 INTERVAL = 25
 WINDOW_INTERVALS = 4
+
+
+def _events(path):
+    return [r for r in read_records(path) if r["ph"] == "i"]
+
+
+class _CrashAfterJob:
+    """Run the shard job to completion, then kill the worker on each
+    payload's first attempt — after the job counted its windows but
+    before the attempt reached ``child_flush``."""
+
+    def __init__(self, job, state_dir):
+        self.job = job
+        self.state_dir = state_dir
+
+    def __call__(self, payload):
+        result = self.job(payload)
+        self.state_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            with open(self.state_dir / payload_key(payload), "x"):
+                pass
+        except FileExistsError:
+            return result
+        os._exit(9)
 
 
 @pytest.fixture(autouse=True)
@@ -67,7 +92,7 @@ class TestShardHealth:
     def test_crash_respawn_heartbeats_and_events(
         self, tmp_path, model_f64, serve_config, serve_scaler, fleet_traces
     ):
-        obs.configure(events=tmp_path / "events.jsonl")
+        obs.configure(trace=tmp_path / "stream.jsonl")
         service = _service(
             model_f64,
             serve_config,
@@ -84,13 +109,12 @@ class TestShardHealth:
         assert report.respawns >= 1
         # The respawned shards completed their retries: live at the end.
         assert set(report.shard_health.values()) == {"live"}
-        kinds = [e["kind"] for e in read_events(tmp_path / "events.jsonl")]
+        events = _events(tmp_path / "stream.jsonl")
+        kinds = [e["name"] for e in events]
         assert kinds[0] == "service_started"
         assert kinds[-1] == "service_drained"
         assert kinds.count("respawn") == report.respawns
-        respawn = next(
-            e for e in read_events(tmp_path / "events.jsonl") if e["kind"] == "respawn"
-        )
+        respawn = next(e for e in events if e["name"] == "respawn")
         assert respawn["args"]["outcome"] == "crash"
         assert respawn["args"]["shard"] in (0, 1)
 
@@ -121,31 +145,31 @@ class TestCrashAwareMetricsMerge:
     def test_window_counts_merge_exactly_once_across_a_crash(
         self, tmp_path, model_f64, serve_config, serve_scaler, fleet_traces
     ):
-        """Satellite pin: supervised shards count windows in their own
-        process; a crashed attempt's count dies with the worker, so the
-        parts-merged total equals the emitted windows — not one more."""
-        metrics = tmp_path / "metrics.json"
-        obs.configure(metrics=metrics)
+        """Supervised shards count windows in their own process.  Every
+        payload's first attempt runs the whole job — counting its windows
+        — and then dies before ``child_flush``; that count must die with
+        the worker, so the folded total equals the emitted windows."""
+        path = tmp_path / "stream.jsonl"
+        obs.configure(trace=path)
         service = _service(
             model_f64,
             serve_config,
             serve_scaler,
             supervised=True,
-            job_wrapper=lambda job: CrashOnce(
-                job, tmp_path / "faults", selector=lambda payload: payload[0] == 0
-            ),
+            job_wrapper=lambda job: _CrashAfterJob(job, tmp_path / "faults"),
         )
         records = fleet_record_schedule(fleet_traces, INTERVAL)
         _, report = replay(service, records)
         obs.finish()
 
-        assert report.respawns >= 1, "the injected crash never fired"
-        merged = load_snapshot(metrics)["metrics"]
-        assert merged["serve.shard.windows"]["value"] == report.windows
-        assert merged["serve.respawns"]["value"] == report.respawns
-        # The parent's own counters merged alongside the children's.
-        assert merged["serve.records"]["value"] == report.records
-        assert not metrics.with_name(metrics.name + ".parts").exists()
+        crashed = len(list((tmp_path / "faults").iterdir()))
+        assert report.respawns == crashed >= 1, "the injected crash never fired"
+        folded = fold(path)["metrics"]
+        assert folded["serve.shard.windows"]["value"] == report.windows
+        assert folded["serve.respawns"]["value"] == report.respawns
+        # The parent's own counters folded alongside the children's.
+        assert folded["serve.records"]["value"] == report.records
+        assert {p.name for p in tmp_path.iterdir()} == {"stream.jsonl", "faults"}
 
 
 class TestSlo:
@@ -193,10 +217,8 @@ class TestParityAndOverhead:
     def test_stream_parity_is_bit_identical_with_live_plane_on(
         self, tmp_path, model_f64, serve_config, serve_scaler, fleet_traces
     ):
-        status = tmp_path / "status.jsonl"
-        obs.configure(
-            status=status, status_interval=1e-9, events=tmp_path / "events.jsonl"
-        )
+        path = tmp_path / "stream.jsonl"
+        obs.configure(trace=path)
         service = _service(
             model_f64,
             serve_config,
@@ -212,11 +234,11 @@ class TestParityAndOverhead:
         )
         assert set(streamed) == set(offline)
         assert_stream_matches_offline(streamed, offline, exact=True)
-        # The exporter saw the service's sections while the stream ran.
-        latest = load_latest(status)
-        assert latest["sections"]["serve"]["windows"] == report.windows
-        assert set(latest["sections"]["health"]) == {"0", "1"}
-        assert latest["sections"]["slo"]["evaluations"] >= 1
+        # The stream carries the service's live sections.
+        sections = fold(path)["sections"]
+        assert sections["serve"]["windows"] == report.windows
+        assert set(sections["health"]) == {"0", "1"}
+        assert sections["slo"]["evaluations"] >= 1
 
     def test_live_plane_overhead_under_5_percent(
         self, tmp_path, model_f64, serve_config, serve_scaler, fleet_traces
@@ -233,12 +255,39 @@ class TestParityAndOverhead:
             return min(run_replay() for _ in range(k))
 
         plain = best_of(3)
-        obs.configure(
-            status=tmp_path / "status.jsonl",
-            status_interval=0.05,
-            events=tmp_path / "events.jsonl",
-        )
+        obs.configure(trace=tmp_path / "stream.jsonl")
         live = best_of(3)
         obs.finish()
-        # <5% relative, with a small absolute floor against timer noise.
+        # 5% relative plus a 50 ms absolute floor against timer noise.  The
+        # replay itself takes ~16 ms, so the floor dominates: this catches
+        # only gross slowdowns (the write-count test pins the flush policy).
         assert live <= plain * 1.05 + 0.05, (plain, live)
+
+    def test_root_writes_are_bounded_by_the_flush_policy(
+        self, tmp_path, stream_writes, model_f64, serve_config, serve_scaler, fleet_traces
+    ):
+        path = tmp_path / "stream.jsonl"
+        obs.configure(trace=path)
+        # One window per dispatch: many dispatches, each with its spans,
+        # metric updates and live sections.
+        service = _service(model_f64, serve_config, serve_scaler, batch_windows=1)
+        records = fleet_record_schedule(fleet_traces, INTERVAL)
+        start = time.monotonic()
+        # One top-level span around the replay: every dispatch's spans
+        # nest inside it, so none of them is a flush point.
+        with obs.span("test.replay"):
+            _, report = replay(service, records)
+        obs.finish()
+        elapsed = time.monotonic() - start
+
+        written = read_records(path)
+        events = sum(1 for r in written if r["ph"] == "i")
+        bound = (
+            events
+            + 1  # the one top-level span
+            + math.ceil(len(written) / stream.FLUSH_EVERY)
+            + math.ceil(elapsed / stream.FLUSH_PERIOD)
+            + 2
+        )
+        assert report.dispatches > bound, "replay too small to tell per-dispatch flushing"
+        assert len(stream_writes) <= bound, (len(stream_writes), bound, report.dispatches)

@@ -168,10 +168,10 @@ class TestCacheStats:
 
     def test_cache_counters_stream_into_metrics_registry(self, tmp_path):
         import repro.obs as obs
-        from repro.obs.metrics import load_snapshot
+        from repro.obs.fold import fold
 
-        metrics_path = tmp_path / "metrics.json"
-        obs.configure(metrics=metrics_path)
+        stream_path = tmp_path / "stream.jsonl"
+        obs.configure(trace=stream_path)
         try:
             cfg = quick_scenario()
             cache = TraceCache(tmp_path / "traces")
@@ -179,7 +179,7 @@ class TestCacheStats:
             generate_trace(cfg, seed=4, cache=cache)
         finally:
             obs.finish()
-        metrics = load_snapshot(metrics_path)["metrics"]
+        metrics = fold(stream_path)["metrics"]
         assert metrics["cache.misses"]["value"] == 1
         assert metrics["cache.hits"]["value"] == 1
         assert metrics["cache.stores"]["value"] == 1
