@@ -1,13 +1,16 @@
 """The live operational plane wired through the streaming service.
 
-What must hold with health/SLO/events on: shard health tracks the
-supervisor's attempts (respawn events land in the log, terminal failure
-shows ``dead``); SLO verdicts surface in the report; the fork-aware
-metrics merge counts every window exactly once across a crash-respawn
-(the crashed attempt's counts die with the worker — ``os._exit`` stages
-no parts); the streamed output stays bit-identical to the offline
-pipeline with the whole plane enabled; and enabling it costs <5% on an
-inline micro replay.
+What must hold with the record stream on: shard health tracks the
+supervisor's attempts (respawn events land in the stream, terminal
+failure shows ``dead``); SLO verdicts surface in the report; the metric
+fold counts every window exactly once across a crash-respawn (a worker
+killed after its job but before ``child_flush`` contributes nothing);
+the streamed output stays bit-identical to the offline pipeline with
+the stream on; and the root's writes stay within the flush policy's
+bound.  Measured cost on the inline micro replay (~16–30 ms): 1.18×
+median stream-on/plain (IQR 1.12–1.22×, 10 interleaved pairs of
+min-of-7 replays, 2-core box), against 1.24× for the four sinks the
+stream replaced; the timing test below only catches gross slowdowns.
 """
 
 from __future__ import annotations
