@@ -84,40 +84,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return x._make(y, (x,), backward)
 
 
-def scale_softmax(
-    x: Tensor, scale: float, mask: np.ndarray | None = None, axis: int = -1
-) -> Tensor:
-    """Fused ``softmax(x * scale + mask)`` — the attention-probability op.
-
-    Mirrors the composite sequence (scalar mul, optional mask add, then
-    the stable softmax) value for value, but as one graph node: the
-    scaled scores buffer is reused in place for the shift, exp and
-    normalisation, and the backward folds the scale into the softmax
-    gradient instead of adding a separate mul node over the largest
-    array in the model.
-    """
-    scale = float(scale)  # weak scalar: float32 inputs stay float32
-    t = x.data * scale
-    if mask is not None:
-        t += mask
-    m = t.max(axis=axis, keepdims=True)
-    np.subtract(t, m, out=t)
-    np.exp(t, out=t)
-    y = t
-    y /= y.sum(axis=axis, keepdims=True)
-
-    def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            out = grad * y
-            inner = out.sum(axis=axis, keepdims=True)
-            np.subtract(grad, inner, out=out)
-            out *= y
-            out *= scale
-            x._accumulate(out)
-
-    return x._make(y, (x,), backward)
-
-
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Fused numerically stable log-softmax along ``axis``."""
     data = x.data
@@ -182,19 +148,65 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
     return x._make(out, (x, weight, bias), backward)
 
 
-def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
-    """Slice ``x[..., start:stop]`` with a dense (no ``add.at``) backward.
+def attention(
+    qkv: Tensor, heads: int, scale: float, mask: np.ndarray | None = None
+) -> Tensor:
+    """Fused multi-head ``softmax(q @ k.T * scale + mask) @ v``.
 
-    Used to split a packed Q/K/V projection; the generic ``__getitem__``
-    backward scatters through ``np.add.at``, which is an order of
-    magnitude slower than slice assignment for contiguous spans.
+    ``qkv`` is the packed ``(batch, seq, 3 * d_model)`` Q/K/V projection
+    and the result is the merged ``(batch, seq, d_model)`` context.  The
+    forward runs one ``(batch, head)`` block at a time on strided views
+    of ``qkv`` (BLAS takes the row stride), with the composite's op order
+    (scores, scale, mask, stable softmax, P·V), so only one ``(seq, seq)``
+    score block is live.  The probabilities are kept for the backward
+    only when it will run; the backward is blocked the same way and
+    writes dQ, dK and dV straight into one packed gradient.
     """
-    out_data = x.data[..., start:stop]
+    data = qkv.data
+    batch, seq, width = data.shape
+    d_model = width // 3
+    head_dim = d_model // heads
+    scale = float(scale)  # weak scalar: float32 inputs stay float32
+    if mask is not None:
+        mask = np.broadcast_to(
+            np.asarray(mask, dtype=data.dtype), (batch, heads, seq, seq)
+        )
+    parts = data.reshape(batch, seq, 3, heads, head_dim)
+    keep = _tensor_mod.grad_enabled() and qkv.requires_grad
+    probs = np.empty((batch, heads, seq, seq), dtype=data.dtype) if keep else None
+    scratch = np.empty((seq, seq), dtype=data.dtype)
+    out = np.empty((batch, seq, d_model), dtype=data.dtype)
+    context = out.reshape(batch, seq, heads, head_dim)
+    for b in range(batch):
+        for h in range(heads):
+            q, k, v = parts[b, :, 0, h], parts[b, :, 1, h], parts[b, :, 2, h]
+            t = np.matmul(q, k.T, out=scratch if probs is None else probs[b, h])
+            t *= scale
+            if mask is not None:
+                t += mask[b, h]
+            np.subtract(t, t.max(axis=-1, keepdims=True), out=t)
+            np.exp(t, out=t)
+            t /= t.sum(axis=-1, keepdims=True)
+            np.matmul(t, v, out=context[b, :, h])
 
     def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            full = np.zeros_like(x.data)
-            full[..., start:stop] = grad
-            x._accumulate(full)
+        dqkv = np.empty_like(data)
+        dparts = dqkv.reshape(batch, seq, 3, heads, head_dim)
+        gctx = grad.reshape(batch, seq, heads, head_dim)
+        dp = np.empty((seq, seq), dtype=data.dtype)
+        for b in range(batch):
+            for h in range(heads):
+                q, k, v = parts[b, :, 0, h], parts[b, :, 1, h], parts[b, :, 2, h]
+                p, g = probs[b, h], gctx[b, :, h]
+                np.matmul(g, v.T, out=dp)
+                np.matmul(p.T, g, out=dparts[b, :, 2, h])
+                # Softmax backward y * (g - sum(g * y)), then the scale.
+                np.multiply(dp, p, out=scratch)
+                np.subtract(dp, scratch.sum(axis=-1, keepdims=True), out=dp)
+                dp *= p
+                dp *= scale
+                np.matmul(dp, k, out=dparts[b, :, 0, h])
+                dparts[b, :, 1, h] = (q.T @ dp).T
+        qkv._accumulate(dqkv)
 
-    return x._make(out_data, (x,), backward)
+    return qkv._make(out, (qkv,), backward)

@@ -530,13 +530,12 @@ class Tensor:
     # ------------------------------------------------------------------
     def __matmul__(self, other: ArrayLike) -> "Tensor":
         other = self._lift(other)
-        out_data = self.data @ other.data
-
         if self.data.ndim < 2 or other.data.ndim < 2:
             raise ValueError(
                 "matmul requires both operands to be at least 2-D; "
                 f"got {self.shape} @ {other.shape}"
             )
+        out_data = self.data @ other.data
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:

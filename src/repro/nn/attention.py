@@ -23,14 +23,15 @@ class MultiHeadAttention(Module):
     self-attention when only ``query`` is given, or cross-attention when
     ``key``/``value`` differ.
 
-    For self-attention with fused kernels enabled, the three Q/K/V
-    projections run as a single packed GEMM: the weights of ``q_proj`` /
-    ``k_proj`` / ``v_proj`` are concatenated at forward time, so the
-    parameter layout (and every state-dict key) is unchanged and the
-    sliced outputs are bit-identical to the three separate projections.
+    For self-attention with fused kernels enabled and attention dropout
+    inactive, the three Q/K/V projections run as a single packed GEMM
+    (the weights of ``q_proj`` / ``k_proj`` / ``v_proj`` are concatenated
+    at forward time, so every state-dict key is unchanged) feeding the
+    blocked :func:`repro.autodiff.fused.attention` kernel.  Every other
+    case runs the composite reference path.
 
-    ``label`` names this layer in the ``nn.gemm.<label>.*`` timing
-    histograms (only recorded while metrics collection is enabled).
+    ``label`` names this layer in the ``nn.gemm.<label>.{qkv,core}``
+    timing histograms (only recorded while the record stream is on).
     """
 
     def __init__(
@@ -60,28 +61,26 @@ class MultiHeadAttention(Module):
         # (batch, seq, d_model) -> (batch, heads, seq, head_dim)
         return x.reshape(batch, seq, self.num_heads, self.head_dim).transpose(0, 2, 1, 3)
 
-    def _packed_qkv(self, x: Tensor) -> tuple[Tensor, Tensor, Tensor]:
-        """Project Q, K and V with one packed GEMM and slice the result."""
-        d = self.d_model
+    def _fused_attend(
+        self, x: Tensor, scale: float, mask: Optional[np.ndarray]
+    ) -> Tensor:
+        """One packed Q/K/V GEMM, then the blocked attention kernel."""
         weight = Tensor.concatenate(
             (self.q_proj.weight, self.k_proj.weight, self.v_proj.weight), axis=1
         )
         bias = Tensor.concatenate(
             (self.q_proj.bias, self.k_proj.bias, self.v_proj.bias), axis=0
         )
-        if obs.enabled():
-            start = time.perf_counter()
-            qkv = x @ weight + bias
-            obs.histogram(f"nn.gemm.{self.label}.qkv.seconds").observe(
-                time.perf_counter() - start
-            )
-        else:
-            qkv = x @ weight + bias
-        return (
-            _fused.slice_last(qkv, 0, d),
-            _fused.slice_last(qkv, d, 2 * d),
-            _fused.slice_last(qkv, 2 * d, 3 * d),
-        )
+        if not obs.enabled():
+            return _fused.attention(x @ weight + bias, self.num_heads, scale, mask)
+        start = time.perf_counter()
+        qkv = x @ weight + bias
+        split = time.perf_counter()
+        context = _fused.attention(qkv, self.num_heads, scale, mask)
+        end = time.perf_counter()
+        obs.histogram(f"nn.gemm.{self.label}.qkv.seconds").observe(split - start)
+        obs.histogram(f"nn.gemm.{self.label}.core.seconds").observe(end - split)
+        return context
 
     def forward(
         self,
@@ -96,37 +95,27 @@ class MultiHeadAttention(Module):
         key = query if key is None else key
         value = key if value is None else value
 
-        batch, q_len, _ = query.shape
-        k_len = key.shape[1]
-
-        packable = (
+        # float() keeps the scalar weakly typed so float32 stays float32.
+        scale = float(1.0 / np.sqrt(self.head_dim))
+        dropout = self.attn_dropout
+        if (
             key is query
             and value is query
             and self.q_proj.bias is not None
+            and (not dropout.training or dropout.p <= 0.0)
             and _fused.fused_kernels_enabled()
-        )
-        if packable:
-            q, k, v = self._packed_qkv(query)
-        else:
-            q, k, v = self.q_proj(query), self.k_proj(key), self.v_proj(value)
-        q = self._split_heads(q, batch, q_len)
-        k = self._split_heads(k, batch, k_len)
-        v = self._split_heads(v, batch, k_len)
+        ):
+            return self.out_proj(self._fused_attend(query, scale, mask))
 
-        raw = q @ k.swapaxes(-1, -2)
-        # float() keeps the scalar weakly typed so float32 stays float32.
-        scale = float(1.0 / np.sqrt(self.head_dim))
-        if _fused.fused_kernels_enabled():
-            # One node for scale + mask + softmax over the largest array
-            # in the model; value-identical to the composite sequence.
-            cast_mask = None if mask is None else np.asarray(mask, dtype=raw.data.dtype)
-            weights = _fused.scale_softmax(raw, scale, mask=cast_mask, axis=-1)
-        else:
-            scores = raw * scale
-            if mask is not None:
-                scores = scores + Tensor(mask, dtype=scores.data.dtype)
-            weights = F.softmax(scores, axis=-1)
-        weights = self.attn_dropout(weights)
+        batch, q_len, _ = query.shape
+        k_len = key.shape[1]
+        q = self._split_heads(self.q_proj(query), batch, q_len)
+        k = self._split_heads(self.k_proj(key), batch, k_len)
+        v = self._split_heads(self.v_proj(value), batch, k_len)
+        scores = (q @ k.swapaxes(-1, -2)) * scale
+        if mask is not None:
+            scores = scores + Tensor(mask, dtype=scores.data.dtype)
+        weights = self.attn_dropout(F.softmax(scores, axis=-1))
 
         context = weights @ v  # (batch, heads, q_len, head_dim)
         merged = context.transpose(0, 2, 1, 3).reshape(batch, q_len, self.d_model)

@@ -140,79 +140,78 @@ class TestBackwardAgreement:
         with fused_kernels(True):
             gradcheck(lambda t: F.gelu(t).sum(), rng.normal(size=(5, 3)))
 
-    def test_slice_last_gradcheck(self, gradcheck, rng):
-        gradcheck(
-            lambda t: (fused.slice_last(t, 2, 5) ** 2).sum(), rng.normal(size=(4, 8))
-        )
+
+def _composite_attention(qkv, heads, scale, mask=None):
+    """The reference graph the kernel replaces: slice, split heads,
+    scores, scale, mask, softmax, P·V, merge."""
+    batch, seq, width = qkv.shape
+    d_model = width // 3
+
+    def split(x):
+        return x.reshape(batch, seq, heads, d_model // heads).transpose(0, 2, 1, 3)
+
+    q, k, v = (split(qkv[..., i * d_model : (i + 1) * d_model]) for i in range(3))
+    scores = (q @ k.swapaxes(-1, -2)) * scale
+    if mask is not None:
+        scores = scores + Tensor(mask)
+    with fused_kernels(False):
+        context = F.softmax(scores, axis=-1) @ v
+    return context.transpose(0, 2, 1, 3).reshape(batch, seq, d_model)
 
 
-class TestScaleSoftmax:
-    """The fused scale+mask+softmax attention-probability node."""
+# (batch, seq, d_model, heads): the second has seq not a multiple of head_dim.
+ATTENTION_SHAPES = [(2, 7, 16, 2), (3, 10, 12, 3)]
 
-    def _composite(self, x, scale, mask):
-        scores = Tensor(x) * scale
-        if mask is not None:
-            scores = scores + Tensor(mask)
-        with fused_kernels(False):
-            return F.softmax(scores, axis=-1)
 
-    @pytest.mark.parametrize("shape", [(5, 7), (2, 3, 8)])
+class TestAttentionKernel:
+    """The blocked packed-QKV attention kernel vs the composite graph."""
+
+    @pytest.mark.parametrize("shape", ATTENTION_SHAPES)
     def test_forward_bit_identical(self, rng, shape):
-        x = rng.normal(size=shape)
-        expected = self._composite(x, 0.25, None).numpy()
-        actual = fused.scale_softmax(Tensor(x), 0.25).numpy()
+        batch, seq, d_model, heads = shape
+        qkv = rng.normal(size=(batch, seq, 3 * d_model))
+        expected = _composite_attention(Tensor(qkv), heads, 0.25).numpy()
+        actual = fused.attention(Tensor(qkv), heads, 0.25).numpy()
         np.testing.assert_array_equal(actual, expected)
 
-    @pytest.mark.parametrize("shape", [(5, 7), (2, 3, 8)])
+    @pytest.mark.parametrize("shape", ATTENTION_SHAPES)
     def test_forward_with_mask_bit_identical(self, rng, shape):
-        x = rng.normal(size=shape)
-        mask = np.where(rng.random(shape) < 0.3, -1e9, 0.0)
-        expected = self._composite(x, 0.5, mask).numpy()
-        actual = fused.scale_softmax(Tensor(x), 0.5, mask=mask).numpy()
+        batch, seq, d_model, heads = shape
+        qkv = rng.normal(size=(batch, seq, 3 * d_model))
+        mask = np.where(rng.random((batch, 1, seq, seq)) < 0.3, -1e9, 0.0)
+        expected = _composite_attention(Tensor(qkv), heads, 0.5, mask).numpy()
+        actual = fused.attention(Tensor(qkv), heads, 0.5, mask=mask).numpy()
         np.testing.assert_array_equal(actual, expected)
 
-    def test_backward_agrees_with_composite(self, rng):
-        x = rng.normal(size=(4, 6))
-        mask = np.where(rng.random((4, 6)) < 0.3, -1e9, 0.0)
-        weights = rng.normal(size=(4, 6))
-        ref = Tensor(x, requires_grad=True)
-        with fused_kernels(False):
-            out = F.softmax(ref * 0.25 + Tensor(mask), axis=-1)
-        (out * Tensor(weights)).sum().backward()
-        fast = Tensor(x, requires_grad=True)
-        (fused.scale_softmax(fast, 0.25, mask=mask) * Tensor(weights)).sum().backward()
-        np.testing.assert_allclose(fast.grad, ref.grad, atol=1e-12, rtol=1e-10)
+    @pytest.mark.parametrize("shape", ATTENTION_SHAPES)
+    def test_backward_agrees_with_composite(self, rng, shape):
+        batch, seq, d_model, heads = shape
+        qkv = rng.normal(size=(batch, seq, 3 * d_model))
+        mask = np.where(rng.random((batch, 1, seq, seq)) < 0.3, -1e9, 0.0)
+        weights = rng.normal(size=(batch, seq, d_model))
+        grads = []
+        for op in (_composite_attention, fused.attention):
+            t = Tensor(qkv, requires_grad=True)
+            (op(t, heads, 0.25, mask) * Tensor(weights)).sum().backward()
+            grads.append(t.grad)
+        np.testing.assert_allclose(grads[1], grads[0], atol=1e-12, rtol=1e-10)
 
     def test_gradcheck(self, gradcheck, rng):
-        weights = rng.normal(size=(3, 4))
+        weights = rng.normal(size=(2, 5, 4))
         gradcheck(
-            lambda t: (fused.scale_softmax(t, 0.3) * Tensor(weights)).sum(),
-            rng.normal(size=(3, 4)),
+            lambda t: (fused.attention(t, 2, 0.3) * Tensor(weights)).sum(),
+            rng.normal(size=(2, 5, 12)),
         )
 
     def test_incoming_grad_not_mutated(self, rng):
         # The backward must never write through the incoming gradient —
         # with borrow-store accumulation it may be another node's .grad.
-        x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-        out = fused.scale_softmax(x, 0.5)
-        seed = rng.normal(size=(3, 5))
+        qkv = Tensor(rng.normal(size=(2, 4, 24)), requires_grad=True)
+        out = fused.attention(qkv, 2, 0.5)
+        seed = rng.normal(size=out.shape)
         expected = seed.copy()
         out.backward(seed)
         np.testing.assert_array_equal(seed, expected)
-
-
-class TestSliceLast:
-    def test_forward_matches_numpy(self, rng):
-        x = rng.normal(size=(3, 4, 10))
-        out = fused.slice_last(Tensor(x), 3, 7)
-        np.testing.assert_array_equal(out.numpy(), x[..., 3:7])
-
-    def test_backward_scatters_dense(self, rng):
-        x = Tensor(rng.normal(size=(2, 6)), requires_grad=True)
-        fused.slice_last(x, 1, 4).sum().backward()
-        expected = np.zeros((2, 6))
-        expected[:, 1:4] = 1.0
-        np.testing.assert_array_equal(x.grad, expected)
 
 
 class TestDtypePolicy:
@@ -245,6 +244,14 @@ class TestDtypePolicy:
                 out.sum().backward()
                 assert x.grad.dtype == np.float32
                 x.zero_grad()
+
+    def test_attention_kernel_preserves_float32(self, rng):
+        qkv = Tensor(rng.normal(size=(2, 5, 24)), dtype=np.float32, requires_grad=True)
+        mask = np.where(rng.random((2, 1, 5, 5)) < 0.3, -1e9, 0.0)  # float64
+        out = fused.attention(qkv, 2, 0.5, mask=mask)
+        assert out.data.dtype == np.float32
+        out.sum().backward()
+        assert qkv.grad.dtype == np.float32
 
     def test_dropout_preserves_float32(self, rng):
         from repro.nn.layers import Dropout

@@ -138,6 +138,11 @@ class TestShapes:
         with pytest.raises(ValueError):
             Tensor([1.0, 2.0]) @ Tensor([[1.0], [2.0]])
 
+    def test_matmul_rank_checked_before_product(self):
+        # Shapes numpy itself rejects must still get the library's error.
+        with pytest.raises(ValueError, match="at least 2-D"):
+            Tensor(np.ones(3)) @ Tensor(np.ones((4, 5)))
+
     def test_transpose_gradients(self, gradcheck, x3x4):
         gradcheck(lambda t: (t.transpose() * Tensor(np.arange(12).reshape(4, 3))).sum(), x3x4)
 

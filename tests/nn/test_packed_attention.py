@@ -1,15 +1,18 @@
-"""Packed single-GEMM Q/K/V projection vs the three-GEMM reference path.
+"""Packed single-GEMM Q/K/V attention vs the three-GEMM reference path.
 
-With fused kernels enabled, self-attention concatenates the Q/K/V weight
-matrices and runs one GEMM; the slices of ``x @ [Wq|Wk|Wv]`` are the
-BLAS-identical columns of the three separate products, so the forward is
-bitwise the reference output.  Gradients flow through a dense slice
-backward and agree to round-off.
+With fused kernels enabled and attention dropout inactive,
+self-attention concatenates the Q/K/V weight matrices, runs one GEMM and
+hands the packed result to the blocked ``fused.attention`` kernel, which
+walks one (batch, head) score block at a time with the composite's op
+order.  The forward is bitwise the reference output; gradients, written
+straight into one packed dQ/dK/dV array, agree to round-off.
 """
+
+import tracemalloc
 
 import numpy as np
 
-from repro.autodiff import Tensor, fused_kernels
+from repro.autodiff import Tensor, fused_kernels, no_grad
 from repro.nn import MultiHeadAttention, TransformerEncoder
 
 
@@ -32,6 +35,18 @@ class TestPackedQkv:
         with fused_kernels(True):
             packed = attn(Tensor(q), key=Tensor(kv)).numpy()
         np.testing.assert_array_equal(packed, reference)
+
+    def test_active_dropout_falls_back_to_composite(self, rng):
+        # Dropout on the probabilities needs the full score tensor, so the
+        # kernel must not engage; both selections draw the same masks.
+        x = rng.normal(size=(2, 6, 16))
+        outputs = []
+        for enabled in (True, False):
+            attn = MultiHeadAttention(16, 4, dropout=0.1, seed=0)
+            attn.train()
+            with fused_kernels(enabled):
+                outputs.append(attn(Tensor(x)).numpy())
+        np.testing.assert_array_equal(outputs[0], outputs[1])
 
     def test_gradients_agree(self, rng):
         x = rng.normal(size=(2, 5, 16))
@@ -79,3 +94,24 @@ class TestPackedQkv:
         approx = encoder(Tensor(x, dtype=np.float32)).numpy()
         assert approx.dtype == np.float32
         np.testing.assert_allclose(approx, exact, atol=1e-5)
+
+
+def test_no_grad_forward_never_holds_a_full_score_tensor(rng):
+    # Only one (seq, seq) block is live per layer when no gradient is
+    # needed; the whole (batch, heads, seq, seq) float32 score array is
+    # 11.5 MB at this shape, which the composite graph held several of.
+    batch, seq, d_model, heads = 8, 300, 32, 4
+    encoder = TransformerEncoder(
+        num_layers=2, d_model=d_model, num_heads=heads, d_ff=64, seed=0
+    )
+    encoder.to_dtype(np.float32)
+    x = Tensor(rng.normal(size=(batch, seq, d_model)), dtype=np.float32)
+    score_bytes = batch * heads * seq * seq * np.dtype(np.float32).itemsize
+    with fused_kernels(True), no_grad():
+        tracemalloc.start()
+        try:
+            encoder(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < score_bytes, f"peak {peak / 1e6:.1f} MB"
