@@ -45,7 +45,7 @@ import numpy as np
 import repro.obs as obs
 from repro.autodiff import fused as _fused
 from repro.autodiff.optim import Adam, clip_grad_norm
-from repro.autodiff.runtime import large_alloc_reuse
+from repro.autodiff.runtime import blas_threads, large_alloc_reuse
 from repro.autodiff.tensor import Tensor, default_dtype, no_grad
 from repro.constraints.differentiable import phi_max, phi_periodic, psi_sent
 from repro.constraints.spec import check_constraints
@@ -313,6 +313,8 @@ class Trainer:
             # mmap page faults on every allocation.  The reference path
             # (fused_kernels=False) keeps the untouched allocator.
             stack.enter_context(large_alloc_reuse())
+            # The model's GEMMs are too small to split across threads.
+            stack.enter_context(blas_threads(1))
         return stack
 
     def _effective_shards(self) -> int:

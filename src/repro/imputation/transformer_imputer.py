@@ -10,11 +10,14 @@ the constraint machinery to focus on C1–C3.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.autodiff import fused as _fused
 from repro.autodiff.module import Module
+from repro.autodiff.runtime import blas_threads
 from repro.autodiff.tensor import Tensor, no_grad
 from repro.imputation.base import Imputer
 from repro.nn.layers import Linear
@@ -81,10 +84,7 @@ class TransformerImputer(Module, Imputer):
     # ------------------------------------------------------------------
     def impute(self, sample: ImputationSample) -> np.ndarray:
         """Impute one window; returns (Q, T) in packet units."""
-        self.eval()
-        with no_grad():
-            pred = self.forward(Tensor(sample.features[None], dtype=self.dtype))
-        return self.scaler.denormalise_qlen(pred.numpy()[0])
+        return self.impute_batch([sample])[0]
 
     def impute_batch(self, samples: list[ImputationSample]) -> list[np.ndarray]:
         """Impute many windows in one batched forward pass.
@@ -96,7 +96,12 @@ class TransformerImputer(Module, Imputer):
         if not samples:
             return []
         self.eval()
-        with no_grad():
+        # As in training, the optimized runtime runs the tiny GEMMs on one
+        # BLAS thread; the reference path keeps the ambient count.  Some
+        # float64 GEMMs round differently at other counts, so single and
+        # batched imputation share this one cap to stay bit-identical.
+        fused = _fused.fused_kernels_enabled()
+        with no_grad(), blas_threads(1) if fused else contextlib.nullcontext():
             features = np.stack([s.features for s in samples])
             pred = self.forward(Tensor(features, dtype=self.dtype))
         return [self.scaler.denormalise_qlen(p) for p in pred.numpy()]

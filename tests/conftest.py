@@ -52,6 +52,17 @@ def small_dataset(small_trace):
     return build_dataset(small_trace, interval=25, window_intervals=4, stride_intervals=2)
 
 
+@pytest.fixture(scope="session")
+def blas_count():
+    """The real OpenBLAS thread-count getter (skips without the library)."""
+    from repro.autodiff import runtime
+
+    control = runtime._openblas()
+    if control.reason is not None:
+        pytest.skip(f"no OpenBLAS thread control: {control.reason}")
+    return control.get
+
+
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
